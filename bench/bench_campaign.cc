@@ -22,8 +22,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,21 +40,20 @@ namespace
 std::uint64_t
 channelBudget()
 {
-    if (const char *env =
-            std::getenv("ARCC_BENCH_CAMPAIGN_CHANNELS"))
-        return std::max<std::uint64_t>(
-            1, std::strtoull(env, nullptr, 10));
-    return 8192;
+    return std::max<std::uint64_t>(
+        1, envU64("ARCC_BENCH_CAMPAIGN_CHANNELS", 8192));
 }
 
 std::uint32_t
 workerBudget()
 {
-    if (const char *env = std::getenv("ARCC_BENCH_CAMPAIGN_WORKERS"))
-        return std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(
-                   std::strtoul(env, nullptr, 10)));
-    return 4;
+    const std::uint64_t workers =
+        envU64("ARCC_BENCH_CAMPAIGN_WORKERS", 4);
+    if (workers > std::numeric_limits<std::uint32_t>::max())
+        fatal("ARCC_BENCH_CAMPAIGN_WORKERS=%llu is out of range",
+              static_cast<unsigned long long>(workers));
+    return std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(workers));
 }
 
 double
@@ -73,10 +72,15 @@ hex(std::uint64_t v)
     return buf;
 }
 
+/** hex(v) as a JSON string, formatted in one snprintf (the chained
+ *  operator+ form trips GCC 12's -Wrestrict false positive). */
 std::string
 jsonHex(std::uint64_t v)
 {
-    return "\"" + hex(v) + "\"";
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "\"%016llx\"",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 } // anonymous namespace

@@ -19,13 +19,13 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.hh"
 #include "common/logging.hh"
 #include "common/parse_num.hh"
 #include "common/table.hh"
 #include "cpu/system_sim.hh"
 #include "engine/sim_engine.hh"
 #include "faults/fault_model.hh"
-#include "faults/lifetime_mc.hh"
 
 namespace arcc::bench
 {
@@ -202,7 +202,7 @@ measureScenarioOverheads(int mixes = 12)
 
 /**
  * Map measured scenario overheads onto the fault taxonomy for the
- * lifetime Monte Carlo (Figures 7.4 / 7.5).  Row / word / bit faults
+ * fleet overhead curves (Figures 7.4 / 7.5).  Row / word / bit faults
  * upgrade a negligible number of pages, so their overhead is ~0.
  */
 inline PerTypeOverhead
@@ -238,6 +238,23 @@ defaultGeometry()
     g.pagesPerRow = 2;
     g.pages = 1048576;
     return g;
+}
+
+/**
+ * The paper's fleet for the lifetime curves (Figures 3.1 and
+ * 7.4-7.6): 10000 channels of `geom` over 7 years at `factor`x the
+ * field-study rates, seed 2013.
+ */
+inline CampaignSpec
+fleetSpec(const DomainGeometry &geom, double factor)
+{
+    CampaignSpec spec;
+    spec.geom = geom;
+    spec.rateBoost = factor;
+    spec.years = 7.0;
+    spec.channels = 10000;
+    spec.seed = 2013;
+    return spec;
 }
 
 } // namespace arcc::bench

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -44,10 +43,8 @@ namespace
 std::uint64_t
 iterBudget()
 {
-    if (const char *env = std::getenv("ARCC_BENCH_ECC_ITERS"))
-        return std::max<std::uint64_t>(
-            1, std::strtoull(env, nullptr, 10));
-    return 100000;
+    return std::max<std::uint64_t>(
+        1, envU64("ARCC_BENCH_ECC_ITERS", 100000));
 }
 
 /** A scaled-down share of the budget, never zero. */

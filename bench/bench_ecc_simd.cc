@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -47,10 +46,8 @@ namespace
 std::uint64_t
 iterBudget()
 {
-    if (const char *env = std::getenv("ARCC_BENCH_ECC_ITERS"))
-        return std::max<std::uint64_t>(
-            1, std::strtoull(env, nullptr, 10));
-    return 100000;
+    return std::max<std::uint64_t>(
+        1, envU64("ARCC_BENCH_ECC_ITERS", 100000));
 }
 
 /** Decode-output accumulator: order-sensitive, timing-independent. */

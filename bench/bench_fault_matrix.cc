@@ -15,7 +15,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.hh"
@@ -31,10 +30,8 @@ namespace
 std::uint64_t
 trialBudget()
 {
-    if (const char *env = std::getenv("ARCC_BENCH_FAULT_TRIALS"))
-        return std::max<std::uint64_t>(
-            1, std::strtoull(env, nullptr, 10));
-    return 96;
+    return std::max<std::uint64_t>(
+        1, envU64("ARCC_BENCH_FAULT_TRIALS", 96));
 }
 
 } // anonymous namespace

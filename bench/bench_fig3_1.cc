@@ -3,14 +3,13 @@
  * Figure 3.1: average fraction of 4KB pages in a memory channel that
  * has been affected by faults, vs operational lifespan, for 1x / 2x /
  * 4x the field-study fault rate.  10000-channel Monte Carlo plus the
- * analytic cross-check.
+ * analytic cross-check; one JSON row per curve point.
  */
 
 #include <cstdio>
 
 #include "bench_common.hh"
 #include "common/table.hh"
-#include "faults/lifetime_mc.hh"
 
 using namespace arcc;
 
@@ -23,19 +22,24 @@ main()
                 "10000 channels of 2 ranks x 36 devices, "
                 "7-year horizon.\n\n");
 
-    const double factors[] = {1.0, 2.0, 4.0};
+    const DomainGeometry geom = bench::defaultGeometry();
     std::vector<AffectedCurve> curves;
     std::vector<double> analytic7;
-    for (double f : factors) {
-        LifetimeMcConfig cfg;
-        cfg.geom = bench::defaultGeometry();
-        cfg.rates = FaultRates::fieldStudy().scaled(f);
-        cfg.channels = 10000;
-        cfg.years = 7.0;
-        cfg.gridPerYear = 4;
-        LifetimeMc mc(cfg);
-        curves.push_back(mc.affectedFraction());
-        analytic7.push_back(mc.analyticAffectedFraction(7.0));
+    for (double f : {1.0, 2.0, 4.0}) {
+        const FaultRates rates = FaultRates::fieldStudy().scaled(f);
+        curves.push_back(
+            CampaignDriver(bench::fleetSpec(geom, f)).affectedCurve(4));
+        const AffectedCurve &c = curves.back();
+        for (std::size_t i = 0; i < c.timeYears.size(); ++i)
+            bench::jsonRow(
+                "fig3_1",
+                {{"factor", bench::jsonNum(f)},
+                 {"years", bench::jsonNum(c.timeYears[i])},
+                 {"affected", bench::jsonNum(c.avgFraction[i])},
+                 {"analytic",
+                  bench::jsonNum(analyticAffectedFraction(
+                      geom, rates, c.timeYears[i]))}});
+        analytic7.push_back(analyticAffectedFraction(geom, rates, 7.0));
     }
 
     TextTable t;

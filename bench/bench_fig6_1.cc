@@ -4,12 +4,14 @@
  * detection (commercial SCCDCD) vs the reduced double error detection
  * of ARCC (ARCC DED), across intended lifespans and fault-rate
  * factors.  Analytic models with a boosted-rate Monte Carlo validation
- * and an empirically measured aliasing refinement.
+ * (a campaign run) and an empirically measured aliasing refinement;
+ * one JSON row per table cell plus one for the validation.
  */
 
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "campaign/campaign.hh"
 #include "common/table.hh"
 #include "reliability/sdc_model.hh"
 
@@ -43,6 +45,12 @@ main()
             SdcModel mar(ar);
             double ded = mbase.sccdcdSdcPer1000MachineYears(years);
             double arcc_ded = mar.arccSdcPer1000MachineYears(years);
+            bench::jsonRow("fig6_1",
+                           {{"years", bench::jsonNum(years)},
+                            {"factor", bench::jsonNum(factor)},
+                            {"ded", bench::jsonNum(ded)},
+                            {"arcc_ded", bench::jsonNum(arcc_ded)},
+                            {"alias", bench::jsonNum(alias)}});
             t.row({TextTable::num(years, 0) + "y",
                    TextTable::num(factor, 0) + "x",
                    TextTable::sci(ded, 2), TextTable::sci(arcc_ded, 2),
@@ -56,12 +64,22 @@ main()
 
     // Boosted-rate Monte Carlo validation of the ARCC model.
     SdcModelConfig cfg = SdcModelConfig::arccMachine();
-    SdcModel model(cfg);
     const double boost = 2000.0;
-    double mc = model.mcArccSdcEvents(7.0, boost, 500, 601);
+    const CampaignSpec spec = sdcValidationSpec(cfg, 7.0, boost, 500, 601);
+    const CampaignAggregate agg = CampaignDriver(spec).run().aggregate;
+    double mc = static_cast<double>(agg.sdcCandidates) /
+                static_cast<double>(agg.trials);
     SdcModelConfig boosted = cfg;
     boosted.rates = cfg.rates.scaled(boost);
     double analytic = SdcModel(boosted).arccSdcEvents(7.0);
+    bench::jsonRow("fig6_1_mc",
+                   {{"years", bench::jsonNum(spec.years)},
+                    {"boost", bench::jsonNum(boost)},
+                    {"trials", bench::jsonNum(agg.trials)},
+                    {"events", bench::jsonNum(agg.sdcCandidates)},
+                    {"faults", bench::jsonNum(agg.faultsSampled)},
+                    {"events_per_trial", bench::jsonNum(mc)},
+                    {"analytic", bench::jsonNum(analytic)}});
     std::printf("\nMonte Carlo validation at %gx boosted rates "
                 "(events/machine over 7y):\n"
                 "  simulated %.3f vs analytic %.3f  (ratio %.2f)\n",

@@ -15,7 +15,6 @@
 
 #include "bench_common.hh"
 #include "common/table.hh"
-#include "faults/lifetime_mc.hh"
 
 using namespace arcc;
 
@@ -42,14 +41,10 @@ main()
 
     std::vector<std::vector<double>> meas, wc;
     for (double factor : {1.0, 2.0, 4.0}) {
-        LifetimeMcConfig cfg;
-        cfg.geom = geom;
-        cfg.rates = FaultRates::fieldStudy().scaled(factor);
-        cfg.channels = 10000;
-        LifetimeMc mc(cfg);
+        const CampaignDriver fleet(bench::fleetSpec(geom, factor));
         meas.push_back(
-            mc.cumulativeOverheadByYear(measured, ov.power[0]));
-        wc.push_back(mc.cumulativeOverheadByYear(worst, 1.0));
+            fleet.overheadByYear(measured, ov.power[0]));
+        wc.push_back(fleet.overheadByYear(worst, 1.0));
 
         std::vector<std::pair<std::string, std::string>> fields = {
             {"factor", bench::jsonNum(factor)}};

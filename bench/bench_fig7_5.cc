@@ -9,7 +9,6 @@
 
 #include "bench_common.hh"
 #include "common/table.hh"
-#include "faults/lifetime_mc.hh"
 
 using namespace arcc;
 
@@ -44,16 +43,12 @@ main()
 
     std::vector<std::vector<double>> meas, wc;
     for (double factor : {1.0, 2.0, 4.0}) {
-        LifetimeMcConfig cfg;
-        cfg.geom = geom;
-        cfg.rates = FaultRates::fieldStudy().scaled(factor);
-        cfg.channels = 10000;
-        LifetimeMc mc(cfg);
+        const CampaignDriver fleet(bench::fleetSpec(geom, factor));
         // Measured per-fault perf deltas may be negative (prefetch
         // wins); the cap only binds the positive direction.
-        meas.push_back(mc.cumulativeOverheadByYear(
+        meas.push_back(fleet.overheadByYear(
             measured, std::max(0.5, ov.perf[0])));
-        wc.push_back(mc.cumulativeOverheadByYear(worst, 0.5));
+        wc.push_back(fleet.overheadByYear(worst, 0.5));
 
         std::vector<std::pair<std::string, std::string>> fields = {
             {"factor", bench::jsonNum(factor)}};

@@ -12,7 +12,6 @@
 #include "bench_common.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
-#include "faults/lifetime_mc.hh"
 
 using namespace arcc;
 
@@ -84,12 +83,8 @@ main()
     o.header({"Year", "1x rate", "2x rate", "4x rate"});
     std::vector<std::vector<double>> by_factor;
     for (double factor : {1.0, 2.0, 4.0}) {
-        LifetimeMcConfig cfg;
-        cfg.geom = geom;
-        cfg.rates = FaultRates::fieldStudy().scaled(factor);
-        cfg.channels = 10000;
-        LifetimeMc mc(cfg);
-        by_factor.push_back(mc.cumulativeOverheadByYear(worst, 1.0));
+        const CampaignDriver fleet(bench::fleetSpec(geom, factor));
+        by_factor.push_back(fleet.overheadByYear(worst, 1.0));
     }
     for (int y = 0; y < 7; ++y)
         o.row({std::to_string(y + 1),

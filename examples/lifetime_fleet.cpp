@@ -6,8 +6,8 @@
  * servers and a target lifespan, what fraction of memory will be
  * running upgraded, what does that cost in power, and what silent
  * data corruption exposure does the ARCC relaxation add?  Exercises
- * the lifetime Monte Carlo, the analytic cross-check, and the SDC
- * models on a user-chosen configuration.
+ * the campaign driver's fleet curve, the analytic cross-check, and
+ * the SDC models on a user-chosen configuration.
  *
  * Usage:  lifetime_fleet [years] [rate_factor] [channels]
  */
@@ -15,9 +15,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "campaign/campaign.hh"
 #include "common/parse_num.hh"
 #include "common/table.hh"
-#include "faults/lifetime_mc.hh"
 #include "reliability/sdc_model.hh"
 
 using namespace arcc;
@@ -40,14 +40,14 @@ main(int argc, char **argv)
                 "%.1f years, %.1fx field fault rates\n\n",
                 channels, years, factor);
 
-    LifetimeMcConfig cfg;
-    cfg.rates = FaultRates::fieldStudy().scaled(factor);
-    cfg.channels = channels;
-    cfg.years = years;
-    cfg.gridPerYear = 4;
-    LifetimeMc mc(cfg);
+    CampaignSpec spec;
+    spec.rateBoost = factor;
+    spec.years = years;
+    spec.channels = static_cast<std::uint64_t>(channels);
+    spec.seed = 2013;
+    const FaultRates rates = spec.rates.scaled(factor);
 
-    AffectedCurve curve = mc.affectedFraction();
+    AffectedCurve curve = CampaignDriver(spec).affectedCurve(4);
     TextTable t;
     t.header({"Year", "Pages upgraded (fleet avg)",
               "Analytic check"});
@@ -57,9 +57,9 @@ main(int argc, char **argv)
             continue;
         t.row({TextTable::num(curve.timeYears[i], 0),
                TextTable::pct(curve.avgFraction[i], 3),
-               TextTable::pct(
-                   mc.analyticAffectedFraction(curve.timeYears[i]),
-                   3)});
+               TextTable::pct(analyticAffectedFraction(
+                                  spec.geom, rates, curve.timeYears[i]),
+                              3)});
     }
     t.print();
 
@@ -73,9 +73,9 @@ main(int argc, char **argv)
 
     // SDC exposure of the ARCC relaxation.
     SdcModelConfig base = SdcModelConfig::sccdcdMachine();
-    base.rates = cfg.rates;
+    base.rates = rates;
     SdcModelConfig ar = SdcModelConfig::arccMachine();
-    ar.rates = cfg.rates;
+    ar.rates = rates;
     double ded = SdcModel(base).sccdcdSdcPer1000MachineYears(years);
     double arcc_ded = SdcModel(ar).arccSdcPer1000MachineYears(years);
     std::printf("\nSDC exposure per 1000 machine-years: "

@@ -62,6 +62,57 @@ foldDouble(std::uint64_t h, double v)
     return fold(h, std::bit_cast<std::uint64_t>(v));
 }
 
+/**
+ * The fleet trial step every campaign experiment shares.  Trial t is
+ * a pure function of (seed, t): its lifetime history and then each
+ * fault's codeword footprint (group, device within group, row,
+ * column; the bank rides along from the lifetime sample) come from
+ * Rng::stream(seed, t) in a fixed order.  `visit(events, faults)`
+ * sees the time-sorted history and its concrete faults, which are
+ * time-sorted too.
+ */
+template <class Visit>
+void
+forEachTrial(const CampaignSpec &spec, std::uint64_t seed,
+             std::uint64_t begin, std::uint64_t end, Visit &&visit)
+{
+    const double hours = spec.years * kHoursPerYear;
+    const int groups = spec.geom.totalDevices() / spec.devicesPerGroup;
+    FaultSampler sampler(spec.geom, spec.rates.scaled(spec.rateBoost));
+
+    std::vector<ConcreteFault> faults;
+    for (std::uint64_t trial = begin; trial < end; ++trial) {
+        Rng trng = Rng::stream(seed, trial);
+        const auto events = sampler.sampleLifetime(hours, trng);
+        faults.clear();
+        for (const FaultEvent &e : events) {
+            ConcreteFault f;
+            f.timeHours = e.timeHours;
+            f.type = e.type;
+            f.group = static_cast<int>(trng.below(groups));
+            f.device =
+                static_cast<int>(trng.below(spec.devicesPerGroup));
+            f.bank = e.bank;
+            f.row = static_cast<int>(trng.below(spec.rowsPerBank));
+            f.col = static_cast<int>(trng.below(spec.colsPerBank));
+            faults.push_back(f);
+        }
+        visit(events, faults);
+    }
+}
+
+/** Elementwise sum of per-shard curve partials, in shard order. */
+std::vector<double>
+sumInShardOrder(std::vector<std::vector<double>> &&partials,
+                std::size_t points)
+{
+    std::vector<double> total(points, 0.0);
+    for (const std::vector<double> &p : partials)
+        for (std::size_t i = 0; i < points; ++i)
+            total[i] += p[i];
+    return total;
+}
+
 } // anonymous namespace
 
 std::uint64_t
@@ -191,6 +242,28 @@ WorkerPlan::range(std::uint32_t id) const
     return r;
 }
 
+CampaignSpec
+sdcValidationSpec(const SdcModelConfig &model, double years, double boost,
+                  std::uint64_t trials, std::uint64_t seed)
+{
+    CampaignSpec spec;
+    spec.geom.banksPerDevice = model.banks;
+    if (spec.geom.totalDevices() != model.devices)
+        fatal("sdcValidationSpec: the model's %d devices do not match "
+              "the campaign channel's %d", model.devices,
+              spec.geom.totalDevices());
+    spec.rates = model.rates;
+    spec.rateBoost = boost;
+    spec.years = years;
+    spec.scrubHours = model.scrubHours;
+    spec.devicesPerGroup = model.devicesPerGroup;
+    spec.rowsPerBank = model.rowsPerBank;
+    spec.colsPerBank = model.colsPerBank;
+    spec.channels = trials;
+    spec.seed = seed;
+    return spec;
+}
+
 std::string
 workerCheckpointPath(const std::string &base, std::uint32_t workerId)
 {
@@ -220,68 +293,130 @@ CampaignAggregate
 CampaignDriver::runTrials(std::uint64_t begin, std::uint64_t end) const
 {
     CampaignAggregate agg = CampaignAggregate::empty();
-    const double hours = spec_.years * kHoursPerYear;
-    const int groups =
-        spec_.geom.totalDevices() / spec_.devicesPerGroup;
-    FaultSampler sampler(spec_.geom,
-                         spec_.rates.scaled(spec_.rateBoost));
+    forEachTrial(
+        spec_, spec_.seed, begin, end,
+        [&](const std::vector<FaultEvent> &events,
+            const std::vector<ConcreteFault> &faults) {
+            AffectedTracker tracker(spec_.geom);
+            for (const FaultEvent &e : events)
+                tracker.apply(e);
 
-    std::vector<ConcreteFault> faults;
-    for (std::uint64_t trial = begin; trial < end; ++trial) {
-        // The whole trial is a pure function of (seed, trial): the
-        // lifetime draws and the codeword-footprint draws come from
-        // one stream in a fixed order.
-        Rng trng = Rng::stream(spec_.seed, trial);
-        auto events = sampler.sampleLifetime(hours, trng);
-
-        // Concretise each fault's codeword footprint (group, device
-        // within group, row, column); the bank rides along from the
-        // lifetime sample.  Events are time-sorted, so the concrete
-        // list is too.
-        faults.clear();
-        AffectedTracker tracker(spec_.geom);
-        for (const FaultEvent &e : events) {
-            ConcreteFault f;
-            f.timeHours = e.timeHours;
-            f.type = e.type;
-            f.group = static_cast<int>(trng.below(groups));
-            f.device =
-                static_cast<int>(trng.below(spec_.devicesPerGroup));
-            f.bank = e.bank;
-            f.row = static_cast<int>(trng.below(spec_.rowsPerBank));
-            f.col = static_cast<int>(trng.below(spec_.colsPerBank));
-            faults.push_back(f);
-            tracker.apply(e);
-        }
-
-        // Overlap scans, via the same kernel as the SDC model's
-        // validation Monte Carlo.  DUE candidates are overlapping
-        // pairs at any separation; SDC candidates additionally need
-        // the second fault inside the first's scrub-detection window.
-        for (std::size_t i = 0; i < faults.size(); ++i) {
-            const double detect =
-                (std::floor(faults[i].timeHours / spec_.scrubHours) +
-                 1.0) *
-                spec_.scrubHours;
-            for (std::size_t j = i + 1; j < faults.size(); ++j) {
-                if (!faultsOverlap(faults[i], faults[j]))
-                    continue;
-                ++agg.dueCandidates;
-                if (faults[j].timeHours < detect)
-                    ++agg.sdcCandidates;
+            // Overlap scans.  DUE candidates are overlapping pairs at
+            // any separation; SDC candidates additionally need the
+            // second fault inside the first's scrub-detection window.
+            for (std::size_t i = 0; i < faults.size(); ++i) {
+                const double detect =
+                    (std::floor(faults[i].timeHours /
+                                spec_.scrubHours) +
+                     1.0) *
+                    spec_.scrubHours;
+                for (std::size_t j = i + 1; j < faults.size(); ++j) {
+                    if (!faultsOverlap(faults[i], faults[j]))
+                        continue;
+                    ++agg.dueCandidates;
+                    if (faults[j].timeHours < detect)
+                        ++agg.sdcCandidates;
+                }
             }
-        }
 
-        const double frac = tracker.fraction();
-        ++agg.trials;
-        agg.faultsSampled += faults.size();
-        if (!faults.empty())
-            ++agg.trialsWithFault;
-        agg.affectedSum += frac;
-        agg.affectedHist.add(frac);
-        agg.faultHist.add(static_cast<double>(faults.size()));
-    }
+            const double frac = tracker.fraction();
+            ++agg.trials;
+            agg.faultsSampled += faults.size();
+            if (!faults.empty())
+                ++agg.trialsWithFault;
+            agg.affectedSum += frac;
+            agg.affectedHist.add(frac);
+            agg.faultHist.add(static_cast<double>(faults.size()));
+        });
     return agg;
+}
+
+AffectedCurve
+CampaignDriver::affectedCurve(int gridPerYear) const
+{
+    if (gridPerYear <= 0)
+        fatal("CampaignDriver: gridPerYear must be positive, got %d",
+              gridPerYear);
+    const auto points =
+        static_cast<std::size_t>(spec_.years * gridPerYear);
+    AffectedCurve curve;
+    curve.timeYears.resize(points);
+    for (std::size_t p = 0; p < points; ++p)
+        curve.timeYears[p] =
+            static_cast<double>(p + 1) / static_cast<double>(gridPerYear);
+
+    curve.avgFraction = engine_->reduceShards(
+        spec_.channels, spec_.shardTrials,
+        [&](const ShardRange &shard) {
+            std::vector<double> partial(points, 0.0);
+            forEachTrial(
+                spec_, spec_.seed, shard.begin, shard.end,
+                [&](const std::vector<FaultEvent> &events,
+                    const std::vector<ConcreteFault> &) {
+                    AffectedTracker tracker(spec_.geom);
+                    std::size_t next = 0;
+                    for (std::size_t p = 0; p < points; ++p) {
+                        const double t_hours =
+                            curve.timeYears[p] * kHoursPerYear;
+                        while (next < events.size() &&
+                               events[next].timeHours <= t_hours)
+                            tracker.apply(events[next++]);
+                        partial[p] += tracker.fraction();
+                    }
+                });
+            return partial;
+        },
+        [&](std::vector<std::vector<double>> &&partials) {
+            return sumInShardOrder(std::move(partials), points);
+        });
+
+    for (double &f : curve.avgFraction)
+        f /= static_cast<double>(spec_.channels);
+    return curve;
+}
+
+std::vector<double>
+CampaignDriver::overheadByYear(const PerTypeOverhead &overhead,
+                               double cap) const
+{
+    const auto years = static_cast<std::size_t>(spec_.years);
+    std::vector<double> by_year = engine_->reduceShards(
+        spec_.channels, spec_.shardTrials,
+        [&](const ShardRange &shard) {
+            std::vector<double> partial(years, 0.0);
+            forEachTrial(
+                spec_, spec_.seed + 1, shard.begin, shard.end,
+                [&](const std::vector<FaultEvent> &events,
+                    const std::vector<ConcreteFault> &) {
+                    // Integrate the channel's overhead step function.
+                    for (std::size_t y = 1; y <= years; ++y) {
+                        const double horizon =
+                            static_cast<double>(y) * kHoursPerYear;
+                        double integral = 0.0;
+                        double level = 0.0;
+                        double raw = 0.0;
+                        double prev_t = 0.0;
+                        for (const FaultEvent &e : events) {
+                            if (e.timeHours > horizon)
+                                break;
+                            integral += level * (e.timeHours - prev_t);
+                            raw += overhead[static_cast<int>(e.type)];
+                            level = std::min(raw, cap);
+                            prev_t = e.timeHours;
+                        }
+                        integral += level * (horizon - prev_t);
+                        partial[y - 1] += integral / horizon;
+                    }
+                });
+            return partial;
+        },
+        [&](std::vector<std::vector<double>> &&partials) {
+            return sumInShardOrder(std::move(partials), years);
+        });
+
+    for (double &v : by_year)
+        v /= static_cast<double>(spec_.channels);
+    return by_year;
 }
 
 CampaignAggregate

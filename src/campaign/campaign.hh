@@ -3,11 +3,18 @@
  * Fleet-scale Monte Carlo campaign driver, hardened against
  * interruption.
  *
- * A *campaign* is the full reliability experiment the smaller Monte
- * Carlos validate in miniature: N memory channels, each simulated for
- * a whole deployment horizon under boosted field-study fault rates,
- * with the codeword grouping of the codec under test (18 devices per
- * relaxed ARCC codeword, 36 for the commercial lockstep baseline).
+ * A *campaign* is the paper's fleet reliability experiment: N memory
+ * channels, each simulated for a whole deployment horizon under
+ * (optionally boosted) field-study fault rates, with the codeword
+ * grouping of the codec under test (18 devices per relaxed ARCC
+ * codeword, 36 for the commercial lockstep baseline).  Its trial step
+ * is the library's only fleet Monte Carlo loop: the same per-trial
+ * draws feed the checkpointed aggregate (runTrials / run), the
+ * Figure 3.1 affected-fraction curve (affectedCurve), the Figures
+ * 7.4-7.6 overhead curves (overheadByYear), and -- read as
+ * sdcCandidates / trials -- the Figure 6.1 validation of the analytic
+ * SDC model (sdcValidationSpec).
+ *
  * Fleets of interest run millions of channel-lifetimes, which is
  * hours of compute -- long enough that preemption, OOM kills and
  * power loss are expected events, not exceptional ones.  The driver
@@ -45,6 +52,7 @@
 #ifndef ARCC_CAMPAIGN_CAMPAIGN_HH
 #define ARCC_CAMPAIGN_CAMPAIGN_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -57,6 +65,7 @@ namespace arcc
 {
 
 class SimEngine;
+struct SdcModelConfig;
 
 /** Everything that identifies a campaign (hashed into configHash). */
 struct CampaignSpec
@@ -65,8 +74,9 @@ struct CampaignSpec
     DomainGeometry geom;
     /** Base per-device FIT rates. */
     FaultRates rates = FaultRates::fieldStudy();
-    /** Uniform rate boost making events observable in feasible
-     *  trials (the validation-MC convention). */
+    /** Uniform multiplier on `rates`: the paper's 1x / 2x / 4x
+     *  sweeps, or a large boost making rare overlaps observable in
+     *  feasible trials. */
     double rateBoost = 100.0;
     /** Deployment horizon per channel. */
     double years = 5.0;
@@ -164,6 +174,28 @@ struct CampaignAggregate
     deserializeFrom(const std::uint8_t **cursor,
                     const std::uint8_t *end);
 };
+
+/** Affected-fraction curve (Figure 3.1). */
+struct AffectedCurve
+{
+    std::vector<double> timeYears;
+    std::vector<double> avgFraction;
+};
+
+/** Per-fault-type overhead for the cumulative-overhead curves. */
+using PerTypeOverhead = std::array<double, kNumFaultTypes>;
+
+/**
+ * The Figure 6.1 Monte Carlo validation point as a campaign: `trials`
+ * machines with `model`'s rates, codeword grouping, scrub period and
+ * footprint geometry, over `years` at `boost`x rates.  The run's
+ * sdcCandidates / trials estimates SdcModel::arccSdcEvents(years) on
+ * the boosted config.  fatal() when the model's device or bank count
+ * does not match the campaign's channel geometry.
+ */
+CampaignSpec sdcValidationSpec(const SdcModelConfig &model, double years,
+                               double boost, std::uint64_t trials,
+                               std::uint64_t seed);
 
 /** One worker's contiguous slice [begin, end) of the trial space. */
 struct WorkerRange
@@ -286,6 +318,28 @@ class CampaignDriver
      */
     CampaignAggregate runTrials(std::uint64_t begin,
                                 std::uint64_t end) const;
+
+    /**
+     * Figure 3.1: fleet-average fraction of pages affected by at
+     * least one fault, at `gridPerYear` points per year over
+     * spec.years.  Same trials as run() (the footprint draws follow
+     * the lifetime sample on each trial's stream, so they do not
+     * perturb it), sharded at spec.shardTrials and folded in shard
+     * order: bit-identical at any thread count.  Not checkpointed.
+     */
+    AffectedCurve affectedCurve(int gridPerYear) const;
+
+    /**
+     * Figures 7.4 / 7.5 / 7.6: for each whole year X of spec.years,
+     * the fleet average of each channel's time-averaged overhead from
+     * 0 through X.  Each fault adds overhead[type] to its channel from
+     * its arrival onward, saturating at `cap` (a fully upgraded
+     * channel cannot exceed the lane-fault overhead).  Trials draw
+     * from Rng::stream(seed + 1, t), keeping this experiment's
+     * histories disjoint from affectedCurve's.
+     */
+    std::vector<double> overheadByYear(const PerTypeOverhead &overhead,
+                                       double cap) const;
 
     const CampaignSpec &spec() const { return spec_; }
 

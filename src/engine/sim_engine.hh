@@ -119,9 +119,9 @@ class SimEngine
      * in shard order -- an order fixed by (items, shardSize) alone --
      * the result is bit-identical at any thread count.
      *
-     * Batch APIs that need the whole partial vector at once (e.g. a
-     * per-job result list, or a report merge that concatenates page
-     * lists) use this directly; simple accumulations use mapReduce.
+     * The merge may fold the partials (the campaign aggregate, the
+     * fleet curves) or keep them whole (a per-job result list, or a
+     * report merge that concatenates page lists).
      *
      * The Partial type (Map's result) must be default-constructible
      * and movable.
@@ -138,25 +138,6 @@ class SimEngine
             partials[r.index] = map(r);
         });
         return merge(std::move(partials));
-    }
-
-    /**
-     * Deterministic sharded map-reduce: `map(shard)` produces one
-     * partial per shard (in parallel), `fold(accumulator, partial)`
-     * combines them *in shard order* on the calling thread.
-     */
-    template <class Partial, class Map, class Fold>
-    Partial
-    mapReduce(std::uint64_t items, std::uint64_t shardSize,
-              Partial init, Map &&map, Fold &&fold) const
-    {
-        return reduceShards(
-            items, shardSize, std::forward<Map>(map),
-            [&](std::vector<Partial> &&partials) {
-                for (Partial &p : partials)
-                    fold(init, std::move(p));
-                return std::move(init);
-            });
     }
 
     /** Shards forEachShard will produce for (items, shardSize). */

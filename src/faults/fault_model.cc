@@ -6,6 +6,7 @@
 #include "faults/fault_model.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -99,6 +100,21 @@ DomainGeometry::pageFraction(FaultType t) const
     // every reliability number; fail loudly instead.
     fatal("DomainGeometry::pageFraction: unhandled fault type %d",
           static_cast<int>(t));
+}
+
+double
+analyticAffectedFraction(const DomainGeometry &geom,
+                         const FaultRates &rates, double years)
+{
+    const double hours = years * kHoursPerYear;
+    const double devices = geom.totalDevices();
+    double unaffected = 1.0;
+    for (FaultType t : allFaultTypes()) {
+        double rate = fitToPerHour(rates[t]) * devices;
+        double p_any = 1.0 - std::exp(-rate * hours);
+        unaffected *= 1.0 - p_any * geom.pageFraction(t);
+    }
+    return 1.0 - unaffected;
 }
 
 FaultSampler::FaultSampler(const DomainGeometry &geom,

@@ -97,6 +97,16 @@ struct DomainGeometry
     double pageFraction(FaultType t) const;
 };
 
+/**
+ * Expected (analytic) fraction of `geom`'s pages affected after
+ * `years` at `rates`, ignoring overlaps between faults: each mode
+ * taints its page fraction with Poisson-arrival probability
+ * 1 - exp(-rate * t).  The cross-check for the fleet Monte Carlo's
+ * affected-fraction curve (Figure 3.1).
+ */
+double analyticAffectedFraction(const DomainGeometry &geom,
+                                const FaultRates &rates, double years);
+
 /** One fault arrival in a simulated lifetime. */
 struct FaultEvent
 {
@@ -145,8 +155,8 @@ class FaultSampler
  * the domain is a grid of (rank, bank, half) cells, each covering
  * 1 / (ranks * banks * 2) of the pages; small faults (row/word/bit)
  * add their handful of pages additively (overlap with cells is
- * negligible and ignored).  Shared by the lifetime Monte Carlo and
- * the campaign driver.
+ * negligible and ignored).  The campaign driver's trial loop applies
+ * it for both the end-of-life aggregate and the Figure 3.1 curve.
  */
 class AffectedTracker
 {

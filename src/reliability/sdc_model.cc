@@ -12,7 +12,6 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "ecc/reed_solomon.hh"
-#include "engine/sim_engine.hh"
 
 namespace arcc
 {
@@ -212,98 +211,6 @@ SdcModel::dueEvents(double years) const
         }
     }
     return events;
-}
-
-McSdcResult
-SdcModel::mcArccSdcEventsDetailed(double years, double boost,
-                                  int trials, std::uint64_t seed,
-                                  SimEngine *engine) const
-{
-    if (!engine)
-        engine = &SimEngine::global();
-
-    SdcModelConfig boosted = config_;
-    boosted.rates = config_.rates.scaled(boost);
-
-    const double life_hours = years * kHoursPerYear;
-
-    // One trial's fault history and overlap scan.  Self-contained:
-    // the generator is a pure function of (seed, trial), so trials
-    // can run in any order on any shard.
-    auto runTrial = [&](std::uint64_t trial, McSdcResult &out) {
-        Rng trng = Rng::stream(seed, trial);
-        std::vector<ConcreteFault> faults;
-        for (FaultType t : allFaultTypes()) {
-            double rate =
-                fitToPerHour(boosted.rates[t]) * config_.devices;
-            std::uint64_t n = trng.poisson(rate * life_hours);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                ConcreteFault f;
-                f.timeHours = trng.uniform() * life_hours;
-                f.type = t;
-                f.group = static_cast<int>(trng.below(config_.groups));
-                f.device = static_cast<int>(
-                    trng.below(config_.devicesPerGroup));
-                f.bank = static_cast<int>(trng.below(config_.banks));
-                f.row = static_cast<int>(trng.below(config_.rowsPerBank));
-                f.col = static_cast<int>(trng.below(config_.colsPerBank));
-                faults.push_back(f);
-            }
-        }
-        std::sort(faults.begin(), faults.end(),
-                  [](const ConcreteFault &a, const ConcreteFault &b) {
-                      return a.timeHours < b.timeHours;
-                  });
-
-        std::uint64_t trial_events = 0;
-        for (std::size_t i = 0; i < faults.size(); ++i) {
-            // Fault i is detected (and its pages upgraded) at the end
-            // of the scrub period it arrives in.
-            double detect =
-                (std::floor(faults[i].timeHours / config_.scrubHours) +
-                 1.0) *
-                config_.scrubHours;
-            for (std::size_t j = i + 1; j < faults.size(); ++j) {
-                if (faults[j].timeHours >= detect)
-                    break;
-                if (faultsOverlap(faults[i], faults[j]))
-                    ++trial_events;
-            }
-        }
-
-        ++out.trials;
-        out.events += trial_events;
-        out.faultsSampled += faults.size();
-        int bin = static_cast<int>(
-            std::min<std::uint64_t>(trial_events,
-                                    McSdcResult::kHistogramBins - 1));
-        ++out.eventHistogram[bin];
-    };
-
-    // Shard the trial range; each shard's partial is pure integer
-    // counters, merged in shard order on the calling thread.
-    return engine->reduceShards(
-        static_cast<std::uint64_t>(trials), SimEngine::kDefaultShard,
-        [&](const ShardRange &shard) {
-            McSdcResult partial;
-            for (std::uint64_t t = shard.begin; t < shard.end; ++t)
-                runTrial(t, partial);
-            return partial;
-        },
-        [](std::vector<McSdcResult> &&partials) {
-            McSdcResult total;
-            for (const McSdcResult &p : partials)
-                total.merge(p);
-            return total;
-        });
-}
-
-double
-SdcModel::mcArccSdcEvents(double years, double boost, int trials,
-                          std::uint64_t seed, SimEngine *engine) const
-{
-    return mcArccSdcEventsDetailed(years, boost, trials, seed, engine)
-        .eventsPerTrial();
 }
 
 double

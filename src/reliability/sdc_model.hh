@@ -1,6 +1,6 @@
 /**
  * @file
- * Analytic and Monte Carlo SDC / DUE models (Chapter 6, Figure 6.1).
+ * Analytic SDC / DUE models (Chapter 6, Figure 6.1).
  *
  * The structure follows the tech-report models the paper cites [12]:
  *
@@ -36,53 +36,12 @@
 #ifndef ARCC_RELIABILITY_SDC_MODEL_HH
 #define ARCC_RELIABILITY_SDC_MODEL_HH
 
-#include <array>
 #include <cstdint>
 
 #include "faults/fault_model.hh"
 
 namespace arcc
 {
-
-class SimEngine;
-
-/**
- * Detailed outcome of the SDC-event Monte Carlo.  Every field is an
- * integer counter, so cross-thread-count equality is exact (no
- * floating-point reduction is involved until eventsPerTrial()).
- */
-struct McSdcResult
-{
-    /** Bins of the per-trial event histogram; the last bin is >=. */
-    static constexpr int kHistogramBins = 8;
-
-    std::uint64_t trials = 0;
-    /** Total SDC-candidate events over all trials. */
-    std::uint64_t events = 0;
-    /** Total concrete faults sampled over all trials. */
-    std::uint64_t faultsSampled = 0;
-    /** eventHistogram[k] = trials that saw exactly k events. */
-    std::array<std::uint64_t, kHistogramBins> eventHistogram{};
-
-    double
-    eventsPerTrial() const
-    {
-        return trials == 0
-                   ? 0.0
-                   : static_cast<double>(events) / trials;
-    }
-
-    /** Accumulate another partial (shard-order merge). */
-    void
-    merge(const McSdcResult &o)
-    {
-        trials += o.trials;
-        events += o.events;
-        faultsSampled += o.faultsSampled;
-        for (int i = 0; i < kHistogramBins; ++i)
-            eventHistogram[i] += o.eventHistogram[i];
-    }
-};
 
 /** Reliability-model configuration. */
 struct SdcModelConfig
@@ -111,9 +70,8 @@ struct SdcModelConfig
 
 /**
  * A concrete fault with a fully sampled codeword-group footprint --
- * the unit the Monte Carlo overlap scan works on.  Exposed so the
- * campaign driver (src/campaign) runs the *same* overlap kernel as
- * the validation Monte Carlo instead of cloning it.
+ * the unit the campaign driver's overlap scan (src/campaign) works
+ * on, declared next to the footprint rules faultsOverlap encodes.
  */
 struct ConcreteFault
 {
@@ -136,7 +94,8 @@ struct ConcreteFault
 bool faultsOverlap(const ConcreteFault &a, const ConcreteFault &b);
 
 /**
- * Closed-form SDC / DUE rate model with Monte Carlo validation.
+ * Closed-form SDC / DUE rate model.  Its Monte Carlo validation is a
+ * campaign run (sdcValidationSpec in campaign/campaign.hh).
  */
 class SdcModel
 {
@@ -174,28 +133,6 @@ class SdcModel
      * which is the section's claim.
      */
     double dueEvents(double years) const;
-
-    /**
-     * Monte Carlo validation of arccSdcEvents with rates uniformly
-     * boosted (the raw rates are too small to hit in feasible trials).
-     * Compare against arccSdcEvents computed on the boosted config.
-     *
-     * Trials are sharded across the engine (nullptr = the global one).
-     * Trial t draws its generator from Rng::stream(seed, t) -- a pure
-     * function of the trial index -- and the per-shard partials are
-     * integer counters merged in shard order, so the event count and
-     * the per-trial histogram are bit-identical at any thread count.
-     * tests/test_determinism.cc enforces this.
-     */
-    double mcArccSdcEvents(double years, double boost, int trials,
-                           std::uint64_t seed,
-                           SimEngine *engine = nullptr) const;
-
-    /** Same run, returning the full counters and histogram. */
-    McSdcResult mcArccSdcEventsDetailed(double years, double boost,
-                                        int trials, std::uint64_t seed,
-                                        SimEngine *engine
-                                        = nullptr) const;
 
     const SdcModelConfig &config() const { return config_; }
 

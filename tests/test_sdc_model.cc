@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.hh"
 #include "reliability/sdc_model.hh"
 
 namespace arcc
@@ -128,8 +129,12 @@ TEST(SdcModel, MonteCarloValidatesTheAnalyticModel)
     // count with the analytic model evaluated at the boosted rates.
     SdcModelConfig cfg = SdcModelConfig::arccMachine();
     const double boost = 2000.0;
-    SdcModel model(cfg);
-    double mc = model.mcArccSdcEvents(7.0, boost, 400, 99);
+    const CampaignAggregate agg =
+        CampaignDriver(sdcValidationSpec(cfg, 7.0, boost, 400, 99))
+            .run()
+            .aggregate;
+    double mc = static_cast<double>(agg.sdcCandidates) /
+                static_cast<double>(agg.trials);
 
     SdcModelConfig boosted = cfg;
     boosted.rates = cfg.rates.scaled(boost);
