@@ -326,14 +326,6 @@ ArccMemory::gatherGroupInto(std::uint64_t group_base, PageMode mode,
     }
 }
 
-DeviceSlices
-ArccMemory::gatherGroup(std::uint64_t group_base, PageMode mode)
-{
-    DeviceSlices slices;
-    gatherGroupInto(group_base, mode, slices);
-    return slices;
-}
-
 void
 ArccMemory::storeGroup(std::uint64_t group_base, PageMode mode,
                        const DeviceSlices &slices)
@@ -368,14 +360,6 @@ ArccMemory::erasedInto(std::uint64_t group_base, PageMode mode,
         if (std::find(list.begin(), list.end(), d % dpr) != list.end())
             out.push_back(d);
     }
-}
-
-std::vector<int>
-ArccMemory::erasedFor(std::uint64_t group_base, PageMode mode) const
-{
-    std::vector<int> erased;
-    erasedInto(group_base, mode, erased);
-    return erased;
 }
 
 void

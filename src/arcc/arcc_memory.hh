@@ -345,18 +345,15 @@ class ArccMemory
     /** Number of 64B sub-lines per group in a mode. */
     int subLines(PageMode mode) const;
 
-    /** Gather (overlay-applied) slices for the group holding addr. */
-    DeviceSlices gatherGroup(std::uint64_t group_base, PageMode mode);
-    /** Gather into an existing buffer, reusing its storage. */
+    /** Gather the (overlay-applied) slices of the group holding addr
+     *  into an existing buffer, reusing its storage. */
     void gatherGroupInto(std::uint64_t group_base, PageMode mode,
                          DeviceSlices &out);
     /** Store encoded slices for the group holding addr. */
     void storeGroup(std::uint64_t group_base, PageMode mode,
                     const DeviceSlices &slices);
-    /** Erased-device indices in codec ordering for a group. */
-    std::vector<int> erasedFor(std::uint64_t group_base,
-                               PageMode mode) const;
-    /** Erased-device indices into an existing buffer. */
+    /** Erased-device indices of a group, in codec ordering, into an
+     *  existing buffer. */
     void erasedInto(std::uint64_t group_base, PageMode mode,
                     std::vector<int> &out) const;
 

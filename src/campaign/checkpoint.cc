@@ -209,12 +209,13 @@ recoverCheckpoint(const std::string &path,
         return out;
     }
 
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        fatal("checkpoint '%s': cannot open (%s)", path.c_str(),
-              std::strerror(errno));
     std::vector<std::uint8_t> bytes;
     {
+        const UniqueFile owner(std::fopen(path.c_str(), "rb"));
+        std::FILE *file = owner.get();
+        if (!file)
+            fatal("checkpoint '%s': cannot open (%s)", path.c_str(),
+                  std::strerror(errno));
         std::uint8_t chunk[1 << 16];
         std::size_t got;
         while ((got = std::fread(chunk, 1, sizeof chunk, file)) > 0)
@@ -223,7 +224,6 @@ recoverCheckpoint(const std::string &path,
             fatal("checkpoint '%s': read failed (%s)", path.c_str(),
                   std::strerror(errno));
     }
-    std::fclose(file);
 
     if (bytes.empty()) {
         out.identity = expected;
@@ -323,18 +323,6 @@ CheckpointWriter::CheckpointWriter(std::string path, std::FILE *file)
 {
 }
 
-CheckpointWriter::CheckpointWriter(CheckpointWriter &&other) noexcept
-    : path_(std::move(other.path_)), file_(other.file_)
-{
-    other.file_ = nullptr;
-}
-
-CheckpointWriter::~CheckpointWriter()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
 CheckpointWriter
 CheckpointWriter::create(const std::string &path,
                          const CheckpointIdentity &identity)
@@ -376,7 +364,7 @@ CheckpointWriter::append(std::span<const std::uint8_t> payload)
         fatal("checkpoint '%s': %zu-byte record exceeds the %u-byte "
               "format ceiling", path_.c_str(), payload.size(),
               kMaxPayloadBytes);
-    sealFrame(path_, file_, frame(payload));
+    sealFrame(path_, file_.get(), frame(payload));
 }
 
 } // namespace arcc

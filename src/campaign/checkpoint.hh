@@ -65,6 +65,8 @@
 #include <string>
 #include <vector>
 
+#include "common/unique_file.hh"
+
 namespace arcc
 {
 
@@ -159,17 +161,11 @@ class CheckpointWriter
     /** Seal one epoch record (frame + flush + fsync). */
     void append(std::span<const std::uint8_t> payload);
 
-    ~CheckpointWriter();
-    CheckpointWriter(CheckpointWriter &&other) noexcept;
-    CheckpointWriter(const CheckpointWriter &) = delete;
-    CheckpointWriter &operator=(const CheckpointWriter &) = delete;
-    CheckpointWriter &operator=(CheckpointWriter &&) = delete;
-
   private:
     CheckpointWriter(std::string path, std::FILE *file);
 
     std::string path_;
-    std::FILE *file_ = nullptr;
+    UniqueFile file_;
 };
 
 } // namespace arcc

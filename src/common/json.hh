@@ -16,9 +16,9 @@
  *  - the whole input must be one value -- trailing garbage is an
  *    error, not ignored.
  *
- * Parsing never fatal()s: the daemon answers a malformed line with an
- * error response and lives on, so every failure is reported through
- * the error string instead.
+ * Parsing reports every failure through the error string rather than
+ * fatal(): a malformed line is an expected input for the daemon, so
+ * the parser hands back a message instead of throwing arcc::Error.
  */
 
 #ifndef ARCC_COMMON_JSON_HH

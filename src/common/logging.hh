@@ -4,8 +4,13 @@
  *
  * panic()  -- an internal invariant of the simulator was violated; this
  *             is a bug in the library itself.  Aborts.
- * fatal()  -- the simulation cannot continue because of a user-supplied
- *             configuration or argument.  Exits with status 1.
+ * fatal()  -- the work cannot continue because of a user-supplied
+ *             configuration, argument or input file.  Throws
+ *             arcc::Error; the top level decides what that means.
+ *             A CLI lets it escape main(), where the terminate
+ *             handler installed by logging.cc prints "[fatal] <msg>"
+ *             and exits with status 1; arccd answers the request
+ *             with an error response and keeps serving.
  * warn()   -- something is not modelled as faithfully as it could be but
  *             the simulation can continue.
  * inform() -- a purely informational status message.
@@ -17,10 +22,18 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace arcc
 {
+
+/** A user error raised by fatal(); what() is the formatted message. */
+class Error : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Severity levels understood by the message sink. */
 enum class LogLevel
@@ -52,7 +65,8 @@ void logMessage(LogLevel level, const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /**
- * Report an unrecoverable user error and exit(1).  Never returns.
+ * Report a user error: throw arcc::Error carrying the formatted
+ * message.  Never returns.
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -15,7 +15,7 @@
  * Syntax is strict: the whole string must be consumed, with no
  * leading or trailing whitespace and no '+' prefix.  Unsigned parsers
  * reject a '-' prefix outright instead of wrapping.
- * tests/test_parse_num.cc death-tests each CLI's flag spellings.
+ * tests/test_parse_num.cc pins each CLI's flag spellings.
  */
 
 #ifndef ARCC_COMMON_PARSE_NUM_HH

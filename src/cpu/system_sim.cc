@@ -113,6 +113,23 @@ PageUpgradeOracle::name(Scenario s)
     return "?";
 }
 
+PageUpgradeOracle::Scenario
+PageUpgradeOracle::scenarioByName(const std::string &fault)
+{
+    if (fault == "none")
+        return Scenario::None;
+    if (fault == "lane")
+        return Scenario::Lane;
+    if (fault == "device")
+        return Scenario::Device;
+    if (fault == "bank")
+        return Scenario::Bank;
+    if (fault == "column")
+        return Scenario::Column;
+    fatal("unknown fault \"%s\" (none|lane|device|bank|column)",
+          fault.c_str());
+}
+
 // ---------------------------------------------------------------------
 // simulateStreams: the sharded pipeline
 // ---------------------------------------------------------------------

@@ -118,6 +118,12 @@ class PageUpgradeOracle
     /** @return human-readable scenario name. */
     static const char *name(Scenario s);
 
+    /**
+     * The scenario a CLI flag or a request names: none | lane |
+     * device | bank | column.  fatal() on any other name.
+     */
+    static Scenario scenarioByName(const std::string &fault);
+
   private:
     Scenario scenario_ = Scenario::None;
     double expected_ = 0.0;

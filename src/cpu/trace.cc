@@ -304,27 +304,27 @@ TraceReplay::next()
 }
 
 TraceStream::TraceStream(std::string path, std::size_t chunkRecords)
-    : path_(std::move(path)),
+    : path_(std::move(path)), file_(std::fopen(path_.c_str(), "rb")),
       chunk_records_(chunkRecords ? chunkRecords : 1)
 {
-    file_ = std::fopen(path_.c_str(), "rb");
     if (!file_)
         fatal("cannot open trace file '%s'", path_.c_str());
     // The chunk buffer *is* the read buffer: unbuffered stdio keeps
     // resident memory at O(chunk) instead of O(chunk + BUFSIZ) and
     // every fread() a single read(2) of one chunk.
-    std::setvbuf(file_, nullptr, _IONBF, 0);
+    std::setvbuf(file_.get(), nullptr, _IONBF, 0);
 
     std::uint8_t magic[sizeof kTraceMagic];
-    if (std::fread(magic, 1, sizeof magic, file_) != sizeof magic ||
+    if (std::fread(magic, 1, sizeof magic, file_.get()) !=
+            sizeof magic ||
         std::memcmp(magic, kTraceMagic, sizeof magic) != 0)
         fatal("trace file '%s' is not an ARCC binary trace (missing "
               "ARCCTRC1 magic; convert text traces with "
               "textTraceToBinary)", path_.c_str());
 
-    if (std::fseek(file_, 0, SEEK_END) != 0)
+    if (std::fseek(file_.get(), 0, SEEK_END) != 0)
         fatal("cannot seek in trace file '%s'", path_.c_str());
-    long size = std::ftell(file_);
+    long size = std::ftell(file_.get());
     ARCC_ASSERT(size >= static_cast<long>(sizeof kTraceMagic));
     std::uint64_t payload =
         static_cast<std::uint64_t>(size) - sizeof kTraceMagic;
@@ -340,30 +340,24 @@ TraceStream::TraceStream(std::string path, std::size_t chunkRecords)
     records_ = payload / kTraceRecordBytes;
     if (records_ == 0)
         fatal("trace file '%s' contains no accesses", path_.c_str());
-    if (std::fseek(file_, sizeof kTraceMagic, SEEK_SET) != 0)
+    if (std::fseek(file_.get(), sizeof kTraceMagic, SEEK_SET) != 0)
         fatal("cannot seek in trace file '%s'", path_.c_str());
 
     buf_.resize(chunk_records_ * kTraceRecordBytes);
-}
-
-TraceStream::~TraceStream()
-{
-    if (file_)
-        std::fclose(file_);
 }
 
 void
 TraceStream::refill()
 {
     if (cursor_ == records_) {
-        if (std::fseek(file_, sizeof kTraceMagic, SEEK_SET) != 0)
+        if (std::fseek(file_.get(), sizeof kTraceMagic, SEEK_SET))
             fatal("cannot seek in trace file '%s'", path_.c_str());
         cursor_ = 0;
     }
     std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(chunk_records_, records_ - cursor_));
     std::size_t got =
-        std::fread(buf_.data(), kTraceRecordBytes, want, file_);
+        std::fread(buf_.data(), kTraceRecordBytes, want, file_.get());
     if (got != want)
         fatal("trace file '%s' shrank mid-replay: wanted %zu records "
               "at %llu, got %zu",

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/unique_file.hh"
 #include "cpu/system_sim.hh"
 #include "cpu/workloads.hh"
 
@@ -174,10 +175,6 @@ class TraceStream
 
     explicit TraceStream(std::string path,
                          std::size_t chunkRecords = kDefaultChunkRecords);
-    ~TraceStream();
-
-    TraceStream(const TraceStream &) = delete;
-    TraceStream &operator=(const TraceStream &) = delete;
 
     /** Next access (wraps around at the end of the trace). */
     CoreWorkload::Access next();
@@ -193,7 +190,7 @@ class TraceStream
     void refill();
 
     std::string path_;
-    std::FILE *file_ = nullptr;
+    UniqueFile file_;
     std::size_t chunk_records_;
     std::vector<std::uint8_t> buf_;
     std::size_t buf_records_ = 0; ///< valid records in buf_.

@@ -100,6 +100,15 @@ table73Mixes()
     return mixes;
 }
 
+const WorkloadMix &
+workloadMix(const std::string &name)
+{
+    for (const WorkloadMix &m : table73Mixes())
+        if (m.name == name)
+            return m;
+    fatal("unknown mix \"%s\" (Mix1..Mix12)", name.c_str());
+}
+
 CoreWorkload::CoreWorkload(const BenchmarkProfile &profile,
                            std::uint64_t mem_bytes, int core_id,
                            std::uint64_t seed)

@@ -68,6 +68,9 @@ struct WorkloadMix
 /** The 12 mixes of Table 7.3. */
 const std::vector<WorkloadMix> &table73Mixes();
 
+/** The Table 7.3 mix called `name` (Mix1..Mix12); fatal() if none. */
+const WorkloadMix &workloadMix(const std::string &name);
+
 /**
  * Stream generator: produces the LLC access stream of one core running
  * one benchmark.

@@ -211,4 +211,19 @@ arccConfig8()
     return withChannels(arccConfig(), 8);
 }
 
+MemoryConfig
+memoryConfigByName(const std::string &name)
+{
+    if (name == "baseline")
+        return baselineConfig();
+    if (name == "arcc")
+        return arccConfig();
+    if (name == "arcc4")
+        return arccConfig4();
+    if (name == "arcc8")
+        return arccConfig8();
+    fatal("unknown config \"%s\" (baseline|arcc|arcc4|arcc8)",
+          name.c_str());
+}
+
 } // namespace arcc

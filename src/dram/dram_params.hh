@@ -172,6 +172,12 @@ MemoryConfig arccConfig4();
  *  unpairable, 4 pairable). */
 MemoryConfig arccConfig8();
 
+/**
+ * The configuration a CLI flag or a request names: baseline | arcc |
+ * arcc4 | arcc8.  fatal() on any other name.
+ */
+MemoryConfig memoryConfigByName(const std::string &name);
+
 } // namespace arcc
 
 #endif // ARCC_DRAM_DRAM_PARAMS_HH

@@ -12,7 +12,10 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/unique_file.hh"
+#include "cpu/system_sim.hh"
 #include "cpu/workloads.hh"
+#include "dram/dram_params.hh"
 
 namespace arcc
 {
@@ -40,45 +43,20 @@ kindName(ServiceRequestKind k)
     panic("unhandled ServiceRequestKind %d", static_cast<int>(k));
 }
 
-bool
-knownConfig(const std::string &name)
-{
-    return name == "baseline" || name == "arcc" || name == "arcc4" ||
-           name == "arcc8";
-}
-
-bool
-knownFault(const std::string &name)
-{
-    return name == "none" || name == "lane" || name == "device" ||
-           name == "bank" || name == "column";
-}
-
-bool
-knownMix(const std::string &name)
-{
-    for (const WorkloadMix &m : table73Mixes())
-        if (m.name == name)
-            return true;
-    return false;
-}
-
 /** CRC-32C of a file's bytes; false when it cannot be read. */
 bool
 fileCrc32c(const std::string &path, std::uint32_t &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
+    const UniqueFile f(std::fopen(path.c_str(), "rb"));
     if (!f)
         return false;
     Crc32c crc;
     std::uint8_t buf[65536];
     std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+    while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0)
         crc.update({buf, n});
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
     out = crc.value();
-    return ok;
+    return std::ferror(f.get()) == 0;
 }
 
 /** Typed member extraction; each setter fails with the key name. */
@@ -225,19 +203,15 @@ ServiceRequest::parse(const std::string &line, ServiceRequest &out,
             !f.u64("seed", out.seed))
             return false;
 
-        if (!knownConfig(out.config)) {
-            error = "unknown config \"" + out.config +
-                    "\" (baseline|arcc|arcc4|arcc8)";
-            return false;
-        }
-        if (!knownFault(out.fault)) {
-            error = "unknown fault \"" + out.fault +
-                    "\" (none|lane|device|bank|column)";
-            return false;
-        }
-        if (out.kind == ServiceRequestKind::Mix &&
-            !knownMix(out.mix)) {
-            error = "unknown mix \"" + out.mix + "\" (Mix1..Mix12)";
+        // The library's own lookups are the name tables; their
+        // fatal() text is the wire error.
+        try {
+            memoryConfigByName(out.config);
+            PageUpgradeOracle::scenarioByName(out.fault);
+            if (out.kind == ServiceRequestKind::Mix)
+                workloadMix(out.mix);
+        } catch (const Error &e) {
+            error = e.what();
             return false;
         }
         if (out.fraction != -1.0 &&

@@ -91,7 +91,9 @@ struct ServiceRequest
     /**
      * Parse and validate one request line.
      * @return true on success; false sets `error` (the daemon turns
-     *         it into an error response -- never fatal()).
+     *         it into an error response).  Config, fault and mix
+     *         names are checked by the library's own lookups; the
+     *         arcc::Error they raise becomes `error`, never a throw.
      */
     static bool parse(const std::string &line, ServiceRequest &out,
                       std::string &error);

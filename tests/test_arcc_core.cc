@@ -11,6 +11,7 @@
 #include "arcc/page_table.hh"
 #include "arcc/scrubber.hh"
 #include "common/rng.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -398,8 +399,8 @@ TEST(ArccMemory, BaselineSchemeHasNoUpgradedMode)
 {
     ArccMemory mem(FunctionalConfig::baselineSmall());
     EXPECT_EQ(mem.pageTable().mode(0), PageMode::Relaxed);
-    EXPECT_EXIT(mem.setPageMode(0, PageMode::Upgraded),
-                ::testing::ExitedWithCode(1), "no upgraded mode");
+    EXPECT_ARCC_ERROR(mem.setPageMode(0, PageMode::Upgraded),
+                      "no upgraded mode");
 }
 
 TEST(ArccMemory, Level2UpgradeCorrectsAcrossFourChannels)

@@ -14,6 +14,7 @@
 
 #include "common/rng.hh"
 #include "ecc/bch.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -235,10 +236,10 @@ TEST(Bch, FastMatchesReferenceOracleExactly)
 
 TEST(BchDeathTest, RejectsBadParameters)
 {
-    EXPECT_EXIT(Bch(0, 2), ::testing::ExitedWithCode(1), "data_bits");
-    EXPECT_EXIT(Bch(63, 2), ::testing::ExitedWithCode(1), "data_bits");
-    EXPECT_EXIT(Bch(64, 0), ::testing::ExitedWithCode(1), "t");
-    EXPECT_EXIT(Bch(64, 17), ::testing::ExitedWithCode(1), "t");
+    EXPECT_ARCC_ERROR(Bch(0, 2), "data_bits");
+    EXPECT_ARCC_ERROR(Bch(63, 2), "data_bits");
+    EXPECT_ARCC_ERROR(Bch(64, 0), "t");
+    EXPECT_ARCC_ERROR(Bch(64, 17), "t");
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/checkpoint.hh"
 #include "engine/sim_engine.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -89,20 +90,17 @@ TEST(CampaignDeathTest, BadSpecsAreFatal)
     {
         CampaignSpec s = testSpec();
         s.channels = 0;
-        EXPECT_EXIT(CampaignDriver(s, &engine),
-                    ::testing::ExitedWithCode(1), "zero channels");
+        EXPECT_ARCC_ERROR(CampaignDriver(s, &engine), "zero channels");
     }
     {
         CampaignSpec s = testSpec();
         s.epochTrials = 0;
-        EXPECT_EXIT(CampaignDriver(s, &engine),
-                    ::testing::ExitedWithCode(1), "zero epochTrials");
+        EXPECT_ARCC_ERROR(CampaignDriver(s, &engine), "zero epochTrials");
     }
     {
         CampaignSpec s = testSpec();
         s.devicesPerGroup = 17; // does not divide 72
-        EXPECT_EXIT(CampaignDriver(s, &engine),
-                    ::testing::ExitedWithCode(1), "does not divide");
+        EXPECT_ARCC_ERROR(CampaignDriver(s, &engine), "does not divide");
     }
 }
 
@@ -255,8 +253,7 @@ TEST(CampaignDeathTest, DuplicatedOrReorderedRecordsAreFatal)
 
     CampaignRunOptions resume;
     resume.checkpointPath = ckpt.path;
-    EXPECT_EXIT(driver.run(resume), ::testing::ExitedWithCode(1),
-                "duplicated or reordered");
+    EXPECT_ARCC_ERROR(driver.run(resume), "duplicated or reordered");
 }
 
 TEST(CampaignDeathTest, HandCraftedInconsistentRecordsAreFatal)
@@ -282,8 +279,7 @@ TEST(CampaignDeathTest, HandCraftedInconsistentRecordsAreFatal)
     }
     CampaignRunOptions o1;
     o1.checkpointPath = layout.path;
-    EXPECT_EXIT(driver.run(o1), ::testing::ExitedWithCode(1),
-                "epochTrials changed");
+    EXPECT_ARCC_ERROR(driver.run(o1), "epochTrials changed");
 
     // Valid layout but the aggregate does not cover the cursor.
     TempFile skew(tempPath("skew"));
@@ -298,8 +294,7 @@ TEST(CampaignDeathTest, HandCraftedInconsistentRecordsAreFatal)
     }
     CampaignRunOptions o2;
     o2.checkpointPath = skew.path;
-    EXPECT_EXIT(driver.run(o2), ::testing::ExitedWithCode(1),
-                "cursor says");
+    EXPECT_ARCC_ERROR(driver.run(o2), "cursor says");
 }
 
 TEST(Campaign, SigkillMidCampaignResumesBitIdentically)

@@ -33,6 +33,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/checkpoint.hh"
 #include "engine/sim_engine.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -124,18 +125,15 @@ struct FuzzRng
 TEST(WorkerPlanDeathTest, ZeroWorkersAndBadIdsAreFatal)
 {
     const CampaignSpec spec = multiprocSpec();
-    EXPECT_EXIT(WorkerPlan(spec, 0), ::testing::ExitedWithCode(1),
-                "zero workers");
+    EXPECT_ARCC_ERROR(WorkerPlan(spec, 0), "zero workers");
     const WorkerPlan plan(spec, 4);
-    EXPECT_EXIT(plan.range(4), ::testing::ExitedWithCode(1),
-                "out of range");
+    EXPECT_ARCC_ERROR(plan.range(4), "out of range");
 }
 
 TEST(MergeDeathTest, EmptySliceListIsFatal)
 {
     const CampaignSpec spec = multiprocSpec();
-    EXPECT_EXIT(mergeCampaigns(spec, {}),
-                ::testing::ExitedWithCode(1), "no worker slices");
+    EXPECT_ARCC_ERROR(mergeCampaigns(spec, {}), "no worker slices");
 }
 
 TEST(MergeDeathTest, DuplicateWorkerIdsAreFatal)
@@ -146,8 +144,8 @@ TEST(MergeDeathTest, DuplicateWorkerIdsAreFatal)
     std::vector<CampaignWorkerSlice> slices = {
         runSlice(spec, plan, 0, engine),
         runSlice(spec, plan, 0, engine)};
-    EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                ::testing::ExitedWithCode(1), "duplicate worker id");
+    EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                      "duplicate worker id");
 }
 
 TEST(MergeDeathTest, CoverageGapsAndOverlapsAreFatal)
@@ -162,24 +160,24 @@ TEST(MergeDeathTest, CoverageGapsAndOverlapsAreFatal)
         std::vector<CampaignWorkerSlice> slices = {
             madeSlice(spec, driver, 0, 2, 0, 512),
             madeSlice(spec, driver, 1, 2, 1024, n)};
-        EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                    ::testing::ExitedWithCode(1), "gap in trial");
+        EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                          "gap in trial");
     }
     {
         // Overlap: [0, 1024) + [512, 2048) double-counts [512, 1024).
         std::vector<CampaignWorkerSlice> slices = {
             madeSlice(spec, driver, 0, 2, 0, 1024),
             madeSlice(spec, driver, 1, 2, 512, n)};
-        EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                    ::testing::ExitedWithCode(1), "overlapping");
+        EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                          "overlapping");
     }
     {
         // Short fleet: coverage ends before spec.channels.
         std::vector<CampaignWorkerSlice> slices = {
             madeSlice(spec, driver, 0, 1, 0, 1024)};
         slices[0].endTrial = 1024;
-        EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                    ::testing::ExitedWithCode(1), "incomplete fleet");
+        EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                          "incomplete fleet");
     }
 }
 
@@ -195,8 +193,8 @@ TEST(MergeDeathTest, MixedExperimentsAndFleetsAreFatal)
             runSlice(spec, plan, 0, engine),
             runSlice(spec, plan, 1, engine)};
         slices[1].configHash ^= 1;
-        EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                    ::testing::ExitedWithCode(1), "stale or mixed");
+        EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                          "stale or mixed");
     }
     {
         // Mixed fleet: a 3-worker slice offered to a 2-slice merge.
@@ -204,9 +202,8 @@ TEST(MergeDeathTest, MixedExperimentsAndFleetsAreFatal)
             runSlice(spec, plan, 0, engine),
             runSlice(spec, plan, 1, engine)};
         slices[1].workerCount = 3;
-        EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                    ::testing::ExitedWithCode(1),
-                    "partial or mixed fleet");
+        EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                          "partial or mixed fleet");
     }
     {
         // Aggregate that does not cover its claimed range.
@@ -214,9 +211,8 @@ TEST(MergeDeathTest, MixedExperimentsAndFleetsAreFatal)
             runSlice(spec, plan, 0, engine),
             runSlice(spec, plan, 1, engine)};
         slices[1].aggregate.trials -= 1;
-        EXPECT_EXIT(mergeCampaigns(spec, std::move(slices)),
-                    ::testing::ExitedWithCode(1),
-                    "incomplete worker");
+        EXPECT_ARCC_ERROR(mergeCampaigns(spec, std::move(slices)),
+                          "incomplete worker");
     }
 }
 
@@ -228,9 +224,10 @@ TEST(LoadSliceDeathTest, MissingSwappedAndUnfinishedLogsAreFatal)
     TempFleet fleet(tempPath("load"));
 
     // No log at all: the worker never ran.
-    EXPECT_EXIT(loadWorkerSlice(workerCheckpointPath(fleet.base, 0),
+    EXPECT_ARCC_ERROR(
+        loadWorkerSlice(workerCheckpointPath(fleet.base, 0),
                                 spec, plan, 0),
-                ::testing::ExitedWithCode(1), "run the worker");
+        "run the worker");
 
     CampaignDriver driver(spec, &engine);
     CampaignRunOptions o0;
@@ -238,9 +235,8 @@ TEST(LoadSliceDeathTest, MissingSwappedAndUnfinishedLogsAreFatal)
     driver.runWorker(plan, 0, o0);
 
     // Swapped logs: worker 0's file offered as worker 1's.
-    EXPECT_EXIT(loadWorkerSlice(o0.checkpointPath, spec, plan, 1),
-                ::testing::ExitedWithCode(1),
-                "worker stamp mismatch");
+    EXPECT_ARCC_ERROR(loadWorkerSlice(o0.checkpointPath, spec, plan, 1),
+                      "worker stamp mismatch");
 
     // Unfinished worker: interrupted after one epoch, then merged.
     CampaignRunOptions o1;
@@ -248,9 +244,8 @@ TEST(LoadSliceDeathTest, MissingSwappedAndUnfinishedLogsAreFatal)
     o1.maxEpochs = 1;
     CampaignRunResult partial = driver.runWorker(plan, 1, o1);
     ASSERT_TRUE(partial.interrupted);
-    EXPECT_EXIT(loadWorkerSlice(o1.checkpointPath, spec, plan, 1),
-                ::testing::ExitedWithCode(1),
-                "resume the worker to completion");
+    EXPECT_ARCC_ERROR(loadWorkerSlice(o1.checkpointPath, spec, plan, 1),
+                      "resume the worker to completion");
 }
 
 // --- the partition ------------------------------------------------------

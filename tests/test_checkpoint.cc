@@ -20,6 +20,7 @@
 #include "campaign/checkpoint.hh"
 #include "common/crc32c.hh"
 #include "common/rng.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -246,10 +247,9 @@ TEST(CheckpointDeathTest, FinalLengthWordCorruptionNeverResumesCorrupt)
 
         const std::uint32_t flipped = true_len ^ (1u << bit);
         if (flipped < true_len) {
-            EXPECT_EXIT(recoverCheckpoint(f.path, kIdentity),
-                        ::testing::ExitedWithCode(1),
-                        "refusing to resume from a corrupt "
-                        "checkpoint");
+            EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, kIdentity),
+                              "refusing to resume from a corrupt "
+                              "checkpoint");
         } else {
             CheckpointRecovery rec =
                 recoverCheckpoint(f.path, kIdentity);
@@ -285,9 +285,8 @@ TEST(CheckpointDeathTest, MidFileCorruptionIsFatal)
         auto bytes = whole;
         bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
         writeFile(f.path, bytes);
-        EXPECT_EXIT(recoverCheckpoint(f.path, kIdentity),
-                    ::testing::ExitedWithCode(1),
-                    "refusing to resume from a corrupt checkpoint");
+        EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, kIdentity),
+                          "refusing to resume from a corrupt checkpoint");
     }
 }
 
@@ -302,8 +301,7 @@ TEST(CheckpointDeathTest, HeaderCorruptionIsFatal)
     auto bytes = readFile(f.path);
     bytes[kFrameOverheadBytes] ^= 0xff; // first magic byte
     writeFile(f.path, bytes);
-    EXPECT_EXIT(recoverCheckpoint(f.path, kIdentity),
-                ::testing::ExitedWithCode(1), "corrupt");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, kIdentity), "corrupt");
 
     // A header-only file with a broken header is equally dead: the
     // invalid frame reaches EOF, but there is no sealed header to
@@ -312,32 +310,46 @@ TEST(CheckpointDeathTest, HeaderCorruptionIsFatal)
     bytes = readFile(f.path);
     bytes[kFrameOverheadBytes] ^= 0xff;
     writeFile(f.path, bytes);
-    EXPECT_EXIT(recoverCheckpoint(f.path, kIdentity),
-                ::testing::ExitedWithCode(1), "corrupt header");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, kIdentity), "corrupt header");
 
     // A valid log for a different campaign: fatal, never overwritten.
     buildLog(f.path, 2);
     CheckpointIdentity other = kIdentity;
     other.configHash ^= 1;
-    EXPECT_EXIT(recoverCheckpoint(f.path, other),
-                ::testing::ExitedWithCode(1), "different campaign");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, other), "different campaign");
     other = kIdentity;
     other.seed ^= 1;
-    EXPECT_EXIT(recoverCheckpoint(f.path, other),
-                ::testing::ExitedWithCode(1), "different campaign");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, other), "different campaign");
+}
+
+// A directory opens with fopen() but fails to read: recovery throws
+// from inside its read loop, and the handle must not leak.
+TEST(CheckpointDeathTest, UnreadableLogIsFatalAndLeaksNoDescriptor)
+{
+    const std::string dir = tempPath("is-a-directory");
+    std::filesystem::create_directory(dir);
+    const long before = test::openFdCount();
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_ARCC_ERROR(recoverCheckpoint(dir, kIdentity),
+                          "read failed");
+    }
+    if (before >= 0) {
+        EXPECT_EQ(test::openFdCount(), before);
+    }
+    std::filesystem::remove(dir);
 }
 
 TEST(CheckpointDeathTest, OversizedAppendIsFatal)
 {
     TempFile f(tempPath("oversize"));
-    EXPECT_EXIT(
+    EXPECT_ARCC_ERROR(
         {
             CheckpointWriter w =
                 CheckpointWriter::create(f.path, kIdentity);
             std::vector<std::uint8_t> huge((64u << 20) + 1);
             w.append(huge);
         },
-        ::testing::ExitedWithCode(1), "format ceiling");
+        "format ceiling");
 }
 
 // --- the v2 worker stamp and version gates -----------------------------
@@ -460,9 +472,8 @@ TEST(CheckpointDeathTest, V1LogUnderAMultiWorkerExpectationIsFatal)
 {
     TempFile f(tempPath("v1-multi"));
     buildV1Log(f.path, 1);
-    EXPECT_EXIT(recoverCheckpoint(f.path, stampedIdentity()),
-                ::testing::ExitedWithCode(1),
-                "whole-range single worker");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, stampedIdentity()),
+                      "whole-range single worker");
 }
 
 TEST(CheckpointDeathTest, SwappedWorkerLogsAreFatal)
@@ -481,16 +492,14 @@ TEST(CheckpointDeathTest, SwappedWorkerLogsAreFatal)
     other.workerId = 2;
     other.beginTrial = 1024;
     other.endTrial = 1536;
-    EXPECT_EXIT(recoverCheckpoint(f.path, other),
-                ::testing::ExitedWithCode(1),
-                "worker stamp mismatch");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, other),
+                      "worker stamp mismatch");
 
     // A different fleet size over the same slice is equally fatal.
     other = stampedIdentity();
     other.workerCount = 8;
-    EXPECT_EXIT(recoverCheckpoint(f.path, other),
-                ::testing::ExitedWithCode(1),
-                "worker stamp mismatch");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, other),
+                      "worker stamp mismatch");
 }
 
 TEST(CheckpointDeathTest, CorruptedStampWithValidCrcIsFatal)
@@ -509,9 +518,8 @@ TEST(CheckpointDeathTest, CorruptedStampWithValidCrcIsFatal)
     auto bytes = readFile(f.path);
     patchHeader(bytes, kWorkerIdOff, 3); // claims worker 3, range of 1
     writeFile(f.path, bytes);
-    EXPECT_EXIT(recoverCheckpoint(f.path, stampedIdentity()),
-                ::testing::ExitedWithCode(1),
-                "worker stamp mismatch");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, stampedIdentity()),
+                      "worker stamp mismatch");
 }
 
 TEST(CheckpointDeathTest, VersionNewerThanBinaryIsFatal)
@@ -524,9 +532,8 @@ TEST(CheckpointDeathTest, VersionNewerThanBinaryIsFatal)
     auto bytes = readFile(f.path);
     patchHeader(bytes, kVersionOff, kCheckpointVersion + 1);
     writeFile(f.path, bytes);
-    EXPECT_EXIT(recoverCheckpoint(f.path, kIdentity),
-                ::testing::ExitedWithCode(1),
-                "log version newer than binary");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, kIdentity),
+                      "log version newer than binary");
 }
 
 TEST(CheckpointDeathTest, VersionOlderThanSupportedIsFatal)
@@ -536,9 +543,8 @@ TEST(CheckpointDeathTest, VersionOlderThanSupportedIsFatal)
     auto bytes = readFile(f.path);
     patchHeader(bytes, kVersionOff, 0);
     writeFile(f.path, bytes);
-    EXPECT_EXIT(recoverCheckpoint(f.path, kIdentity),
-                ::testing::ExitedWithCode(1),
-                "oldest supported version");
+    EXPECT_ARCC_ERROR(recoverCheckpoint(f.path, kIdentity),
+                      "oldest supported version");
 }
 
 } // namespace

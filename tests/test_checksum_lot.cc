@@ -9,6 +9,7 @@
 #include "common/rng.hh"
 #include "ecc/checksum.hh"
 #include "ecc/lot_ecc.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -184,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Geometries, LotEccSweep,
 
 TEST(LotEcc, RejectsBadGeometry)
 {
-    EXPECT_EXIT(LotEcc(7), ::testing::ExitedWithCode(1), "8 or 16");
+    EXPECT_ARCC_ERROR(LotEcc(7), "8 or 16");
 }
 
 TEST(LotEcc, ChecksumAliasingCorruptionCanSlipThrough)

@@ -16,6 +16,7 @@
 #include "arcc/ecc_scheme.hh"
 #include "common/rng.hh"
 #include "ecc/secded.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -122,7 +123,7 @@ TEST(CodecRegistry, RegisterAndMakeCustomCodec)
 
 TEST(CodecRegistryDeathTest, DuplicateKeyIsFatal)
 {
-    EXPECT_EXIT(
+    EXPECT_ARCC_ERROR(
         {
             codecs::registerCodec("dup-key", "a", [] {
                 return codecs::make("sccdcd");
@@ -131,13 +132,13 @@ TEST(CodecRegistryDeathTest, DuplicateKeyIsFatal)
                 return codecs::make("sccdcd");
             });
         },
-        ::testing::ExitedWithCode(1), "duplicate codec key");
+        "duplicate codec key");
 }
 
 TEST(CodecRegistryDeathTest, UnknownKeyIsFatal)
 {
-    EXPECT_EXIT(codecs::make("definitely-not-registered"),
-                ::testing::ExitedWithCode(1), "unknown codec");
+    EXPECT_ARCC_ERROR(codecs::make("definitely-not-registered"),
+                      "unknown codec");
 }
 
 // ---------------------------------------------------------------------

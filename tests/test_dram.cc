@@ -10,6 +10,7 @@
 #include "dram/channel_shard.hh"
 #include "dram/dram_params.hh"
 #include "dram/mem_controller.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -141,39 +142,68 @@ TEST(MemChannel, QueueBackpressureDelaysAdmission)
     EXPECT_GT(last, 15 * cfg.device.tRC * cfg.device.tCK - 1e-9);
 }
 
+// --- the back end as the simulator drives it ------------------------------
+//
+// The system simulator decodes each address through an AddressMap and
+// issues the coordinates to a ChannelSet; these tests do the same with
+// one set spanning every channel.
+
+/** A ChannelSet over all of `cfg`'s channels (cfg must outlive it). */
+ChannelSet
+allChannels(const MemoryConfig &cfg, const ControllerConfig &ctrl = {})
+{
+    std::vector<int> ids;
+    for (int c = 0; c < cfg.channels; ++c)
+        ids.push_back(c);
+    return ChannelSet(cfg, ctrl, std::move(ids));
+}
+
+/** Issue the upgraded 128B line at 128B-aligned `addr`. */
+double
+accessPair(ChannelSet &set, const AddressMap &map, double now,
+           std::uint64_t addr)
+{
+    return set.accessPaired(now, map.decode(addr),
+                            map.decode(addr + kLineBytes), false);
+}
+
 TEST(MemorySystem, PairedAccessTouchesBothChannelsInLockstep)
 {
-    MemorySystem mem(arccConfig());
-    double t_paired = mem.access(0.0, 0, false, true);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet set = allChannels(cfg);
+    EXPECT_NE(map.decode(0).channel, map.decode(kLineBytes).channel);
+    double t_paired = accessPair(set, map, 0.0, 0);
     EXPECT_GT(t_paired, 0.0);
-    EXPECT_EQ(mem.accesses(), 2u); // one access in each channel.
+    EXPECT_EQ(set.accesses(), 2u); // one access in each channel.
 }
 
 TEST(MemorySystem, PairedCompletionNotEarlierThanUnpaired)
 {
-    MemorySystem a(arccConfig());
-    MemorySystem b(arccConfig());
-    double unpaired = a.access(0.0, 0, false, false);
-    double paired = b.access(0.0, 0, false, true);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet a = allChannels(cfg);
+    ChannelSet b = allChannels(cfg);
+    double unpaired = a.access(0.0, map.decode(0), false);
+    double paired = accessPair(b, map, 0.0, 0);
     EXPECT_GE(paired, unpaired - 1e-9);
 }
 
 TEST(MemorySystem, ArrivalOrderMonotonicityHolds)
 {
-    MemorySystem mem(arccConfig());
-    double prev = 0.0;
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet set = allChannels(cfg);
     Rng rng(5);
     double now = 0.0;
     for (int i = 0; i < 500; ++i) {
         now += rng.uniform() * 10.0;
-        std::uint64_t addr =
-            rng.below(mem.map().capacity() / 64) * 64;
-        double done = mem.access(now, addr, rng.chance(0.3), false);
-        EXPECT_GE(done, now);
+        std::uint64_t addr = rng.below(map.capacity() / 64) * 64;
+        double done =
+            set.access(now, map.decode(addr), rng.chance(0.3));
         // Completions need not be monotonic across banks, but must
         // never precede their arrival.
-        prev = done;
-        (void)prev;
+        EXPECT_GE(done, now);
     }
 }
 
@@ -181,13 +211,19 @@ TEST(MemorySystem, ArrivalOrderMonotonicityHolds)
 
 TEST(MemorySystem, DynamicEnergyScalesWithDevicesPerAccess)
 {
-    MemorySystem base(baselineConfig());
-    MemorySystem ar(arccConfig());
+    const MemoryConfig base_cfg = baselineConfig();
+    const MemoryConfig ar_cfg = arccConfig();
+    const AddressMap base_map(base_cfg, MapPolicy::HiPerf);
+    const AddressMap ar_map(ar_cfg, MapPolicy::HiPerf);
+    ChannelSet base = allChannels(base_cfg);
+    ChannelSet ar = allChannels(ar_cfg);
     // Identical request streams.
     double t = 0.0;
     for (int i = 0; i < 1000; ++i) {
-        base.access(t, static_cast<std::uint64_t>(i) * 64 * 257 % (1 << 28), false, false);
-        ar.access(t, static_cast<std::uint64_t>(i) * 64 * 257 % (1 << 28), false, false);
+        const std::uint64_t addr =
+            static_cast<std::uint64_t>(i) * 64 * 257 % (1 << 28);
+        base.access(t, base_map.decode(addr), false);
+        ar.access(t, ar_map.decode(addr), false);
         t += 60.0;
     }
     base.finalize(t);
@@ -202,10 +238,12 @@ TEST(MemorySystem, DynamicEnergyScalesWithDevicesPerAccess)
 
 TEST(MemorySystem, BackgroundEnergyAccruesWithTime)
 {
-    MemorySystem mem(arccConfig());
-    mem.access(0.0, 0, false, false);
-    mem.finalize(1e6); // 1 ms idle tail.
-    PowerBreakdown p = mem.breakdown();
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap map(cfg, MapPolicy::HiPerf);
+    ChannelSet set = allChannels(cfg);
+    set.access(0.0, map.decode(0), false);
+    set.finalize(1e6); // 1 ms idle tail.
+    PowerBreakdown p = set.breakdown();
     EXPECT_GT(p.backgroundNj, 0.0);
     EXPECT_GT(p.refreshNj, 0.0);
     EXPECT_GT(p.totalNj(), p.dynamicNj);
@@ -218,8 +256,9 @@ TEST(MemorySystem, PowerDownCutsIdleBackgroundPower)
     ControllerConfig no_pd;
     no_pd.enablePowerDown = false;
 
-    MemorySystem a(arccConfig(), MapPolicy::HiPerf, with_pd);
-    MemorySystem b(arccConfig(), MapPolicy::HiPerf, no_pd);
+    const MemoryConfig cfg = arccConfig();
+    ChannelSet a = allChannels(cfg, with_pd);
+    ChannelSet b = allChannels(cfg, no_pd);
     a.finalize(1e7);
     b.finalize(1e7);
     EXPECT_LT(a.breakdown().backgroundNj,
@@ -351,46 +390,8 @@ TEST(MemoryConfigChannels, WithChannelsScalesCapacityOnly)
 TEST(MemoryConfigChannelsDeathTest, IndivisibleRowSplitIsFatal)
 {
     // 2 pages/row = 128 lines cannot interleave over 3 channels.
-    EXPECT_EXIT(withChannels(arccConfig(), 3),
-                ::testing::ExitedWithCode(1), "split over");
-    EXPECT_EXIT(withChannels(arccConfig(), 0),
-                ::testing::ExitedWithCode(1), ">= 1 channel");
-}
-
-TEST(ChannelSet, MatchesMemorySystemRequestForRequest)
-{
-    // The facade is now implemented on ChannelSet; drive a ChannelSet
-    // over all channels with pre-decoded coordinates and require
-    // bit-identical completions and power to MemorySystem.
-    MemoryConfig cfg = arccConfig();
-    MemorySystem sys(cfg);
-    ChannelSet set(cfg, ControllerConfig{}, {0, 1});
-    const AddressMap &map = sys.map();
-
-    Rng rng(11);
-    double now = 0.0;
-    for (int i = 0; i < 400; ++i) {
-        now += rng.uniform() * 8.0;
-        bool paired = rng.chance(0.3);
-        bool is_write = rng.chance(0.3);
-        std::uint64_t addr =
-            rng.below(map.capacity() / kUpgradedLineBytes) *
-            kUpgradedLineBytes;
-        double via_sys = sys.access(now, addr, is_write, paired);
-        double via_set;
-        if (paired) {
-            via_set = set.accessPaired(now, map.decode(addr),
-                                       map.decode(addr + kLineBytes),
-                                       is_write);
-        } else {
-            via_set = set.access(now, map.decode(addr), is_write);
-        }
-        EXPECT_EQ(via_sys, via_set);
-    }
-    sys.finalize(now);
-    set.finalize(now);
-    EXPECT_EQ(sys.accesses(), set.accesses());
-    EXPECT_EQ(sys.breakdown().totalNj(), set.breakdown().totalNj());
+    EXPECT_ARCC_ERROR(withChannels(arccConfig(), 3), "split over");
+    EXPECT_ARCC_ERROR(withChannels(arccConfig(), 0), ">= 1 channel");
 }
 
 TEST(ChannelSet, RejectsCoordinatesItDoesNotOwn)
@@ -408,13 +409,18 @@ TEST(MemorySystem, PairedAccessFallsBackUnderBaseMap)
 {
     // The Base map keeps adjacent lines in one channel: a paired
     // access degrades to two sequential accesses instead of asserting.
-    MemorySystem mem(arccConfig(), MapPolicy::Base);
-    double done = mem.access(0.0, 0, false, /*paired=*/true);
+    const MemoryConfig cfg = arccConfig();
+    const AddressMap base_map(cfg, MapPolicy::Base);
+    ChannelSet serial = allChannels(cfg);
+    EXPECT_EQ(base_map.decode(0).channel,
+              base_map.decode(kLineBytes).channel);
+    double done = accessPair(serial, base_map, 0.0, 0);
     EXPECT_GT(done, 0.0);
-    EXPECT_EQ(mem.accesses(), 2u);
+    EXPECT_EQ(serial.accesses(), 2u);
 
-    MemorySystem lockstep(arccConfig(), MapPolicy::HiPerf);
-    double parallel = lockstep.access(0.0, 0, false, true);
+    const AddressMap hiperf_map(cfg, MapPolicy::HiPerf);
+    ChannelSet lockstep = allChannels(cfg);
+    double parallel = accessPair(lockstep, hiperf_map, 0.0, 0);
     EXPECT_GT(done, parallel)
         << "without channel interleaving the pair serialises "
            "(Section 4.1's requirement)";

@@ -21,6 +21,7 @@
 #include "dram/dram_params.hh"
 #include "engine/sim_engine.hh"
 #include "engine/thread_pool.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -272,34 +273,30 @@ TEST(SimEngineEnv, ExplicitOptionsIgnoreTheEnv)
 // that sizes every engine in the process deserves a loud failure.
 TEST(SimEngineEnvDeath, GarbageThreadCountIsFatal)
 {
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ArccThreadsGuard guard("8cores");
-    EXPECT_DEATH({ SimEngine engine(SimEngine::Options{0}); },
-                 "ARCC_THREADS.*8cores");
+    EXPECT_ARCC_ERROR({ SimEngine engine(SimEngine::Options{0}); },
+                      "ARCC_THREADS.*8cores");
 }
 
 TEST(SimEngineEnvDeath, NegativeThreadCountIsFatal)
 {
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ArccThreadsGuard guard("-4");
-    EXPECT_DEATH({ SimEngine engine(SimEngine::Options{0}); },
-                 "ARCC_THREADS.*negative");
+    EXPECT_ARCC_ERROR({ SimEngine engine(SimEngine::Options{0}); },
+                      "ARCC_THREADS.*negative");
 }
 
 TEST(SimEngineEnvDeath, ZeroThreadsIsFatal)
 {
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ArccThreadsGuard guard("0");
-    EXPECT_DEATH({ SimEngine engine(SimEngine::Options{0}); },
-                 "ARCC_THREADS.*thread count");
+    EXPECT_ARCC_ERROR({ SimEngine engine(SimEngine::Options{0}); },
+                      "ARCC_THREADS.*thread count");
 }
 
 TEST(SimEngineEnvDeath, AbsurdThreadCountIsFatal)
 {
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ArccThreadsGuard guard("40000");
-    EXPECT_DEATH({ SimEngine engine(SimEngine::Options{0}); },
-                 "ARCC_THREADS.*thread count");
+    EXPECT_ARCC_ERROR({ SimEngine engine(SimEngine::Options{0}); },
+                      "ARCC_THREADS.*thread count");
 }
 
 // --- determinism across thread counts ----------------------------------

@@ -14,6 +14,7 @@
 
 #include "engine/sim_engine.hh"
 #include "faults/fault_matrix.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -187,8 +188,7 @@ TEST(FaultMatrixDeathTest, UnknownCodecKeyIsFatal)
 {
     FaultMatrixConfig cfg;
     cfg.codecs = {"no-such-codec"};
-    EXPECT_EXIT(runFaultMatrix(cfg), ::testing::ExitedWithCode(1),
-                "unknown codec");
+    EXPECT_ARCC_ERROR(runFaultMatrix(cfg), "unknown codec");
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "faults/fault_model.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -61,9 +62,8 @@ TEST(DomainGeometryDeathTest, UnhandledFaultTypeIsFatal)
     // loudly instead of silently contributing 0 to every reliability
     // number.
     DomainGeometry g;
-    EXPECT_EXIT(g.pageFraction(static_cast<FaultType>(99)),
-                ::testing::ExitedWithCode(1),
-                "unhandled fault type 99");
+    EXPECT_ARCC_ERROR(g.pageFraction(static_cast<FaultType>(99)),
+                      "unhandled fault type 99");
 }
 
 TEST(FaultSampler, SortEventsIsStableOnTimestampTies)

@@ -3,10 +3,10 @@
  * Tests for the checked flag / environment parsers -- the fix for the
  * silent-zero input-parsing holes.
  *
- * Every death test here is a CLI regression: the exact flag text that
- * the old strtoull / atoi / atof parsing silently coerced to 0 (or
- * wrapped to 2^64-1), checked to now fail loudly, naming the flag and
- * the offending text.
+ * Every ParseNumDeath case is a CLI regression: the exact flag text
+ * that the old strtoull / atoi / atof parsing silently coerced to 0
+ * (or wrapped to 2^64-1), checked to now raise arcc::Error naming the
+ * flag and the offending text.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "common/parse_num.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -47,55 +48,52 @@ TEST(ParseNum, AcceptsWellFormedDoubles)
 TEST(ParseNumDeath, CampaignChannelsGarbageIsFatal)
 {
     // Old behaviour: strtoull("junk") == 0 => a 0-channel campaign.
-    EXPECT_DEATH(parseU64("--channels", "junk"),
-                 "--channels.*unsigned integer.*junk");
+    EXPECT_ARCC_ERROR(parseU64("--channels", "junk"),
+                      "--channels.*unsigned integer.*junk");
 }
 
 TEST(ParseNumDeath, CampaignChannelsTrailingGarbageIsFatal)
 {
     // Old behaviour: strtoull("16k") == 16.
-    EXPECT_DEATH(parseU64("--channels", "16k"),
-                 "--channels.*unsigned integer.*16k");
+    EXPECT_ARCC_ERROR(parseU64("--channels", "16k"),
+                      "--channels.*unsigned integer.*16k");
 }
 
 TEST(ParseNumDeath, CampaignSeedNegativeWrapsNoMore)
 {
     // Old behaviour: strtoull("-1") wrapped to 2^64-1.
-    EXPECT_DEATH(parseU64("--seed", "-1"),
-                 "--seed.*negative value");
+    EXPECT_ARCC_ERROR(parseU64("--seed", "-1"), "--seed.*negative value");
 }
 
 TEST(ParseNumDeath, CampaignEpochTrialsEmptyIsFatal)
 {
-    EXPECT_DEATH(parseU64("--epoch-trials", ""),
-                 "--epoch-trials.*empty string");
+    EXPECT_ARCC_ERROR(parseU64("--epoch-trials", ""),
+                      "--epoch-trials.*empty string");
 }
 
 TEST(ParseNumDeath, CampaignGroupDevicesGarbageIsFatal)
 {
     // Old behaviour: atoi("all") == 0 => division by zero downstream.
-    EXPECT_DEATH(parseInt("--group-devices", "all"),
-                 "--group-devices.*integer.*all");
+    EXPECT_ARCC_ERROR(parseInt("--group-devices", "all"),
+                      "--group-devices.*integer.*all");
 }
 
 TEST(ParseNumDeath, CampaignWorkersOutOfRangeIsFatal)
 {
-    EXPECT_DEATH(parseU32("--workers", "4294967296"),
-                 "--workers.*out of range");
+    EXPECT_ARCC_ERROR(parseU32("--workers", "4294967296"),
+                      "--workers.*out of range");
 }
 
 TEST(ParseNumDeath, CampaignYearsGarbageIsFatal)
 {
     // Old behaviour: atof("five") == 0.0 => usage trap at best.
-    EXPECT_DEATH(parseDouble("--years", "five"),
-                 "--years.*number.*five");
+    EXPECT_ARCC_ERROR(parseDouble("--years", "five"), "--years.*number.*five");
 }
 
 TEST(ParseNumDeath, CampaignBoostPartialParseIsFatal)
 {
     // Old behaviour: atof("100x") == 100.0, the typo vanished.
-    EXPECT_DEATH(parseDouble("--boost", "100x"),
-                 "--boost.*number.*100x");
+    EXPECT_ARCC_ERROR(parseDouble("--boost", "100x"), "--boost.*number.*100x");
 }
 
 // --- arcc_sim's flags --------------------------------------------------
@@ -103,53 +101,53 @@ TEST(ParseNumDeath, CampaignBoostPartialParseIsFatal)
 TEST(ParseNumDeath, SimInstrsScientificNotationIsFatal)
 {
     // Old behaviour: strtoull("2e6") == 2 -- a two-instruction run.
-    EXPECT_DEATH(parseU64("--instrs", "2e6"),
-                 "--instrs.*unsigned integer.*2e6");
+    EXPECT_ARCC_ERROR(parseU64("--instrs", "2e6"),
+                      "--instrs.*unsigned integer.*2e6");
 }
 
 TEST(ParseNumDeath, SimFractionGarbageIsFatal)
 {
-    EXPECT_DEATH(parseDouble("--fraction", "half"),
-                 "--fraction.*number.*half");
+    EXPECT_ARCC_ERROR(parseDouble("--fraction", "half"),
+                      "--fraction.*number.*half");
 }
 
 // --- lifetime_fleet's positionals --------------------------------------
 
 TEST(ParseNumDeath, FleetYearsGarbageIsFatal)
 {
-    EXPECT_DEATH(parseDouble("years", "7yrs"), "years.*number.*7yrs");
+    EXPECT_ARCC_ERROR(parseDouble("years", "7yrs"), "years.*number.*7yrs");
 }
 
 TEST(ParseNumDeath, FleetChannelsGarbageIsFatal)
 {
-    EXPECT_DEATH(parseInt("channels", "10_000"),
-                 "channels.*integer.*10_000");
+    EXPECT_ARCC_ERROR(parseInt("channels", "10_000"),
+                      "channels.*integer.*10_000");
 }
 
 // --- strictness details -------------------------------------------------
 
 TEST(ParseNumDeath, LeadingWhitespaceIsFatal)
 {
-    EXPECT_DEATH(parseU64("--channels", " 5"), "--channels");
-    EXPECT_DEATH(parseDouble("--years", " 5"), "--years");
+    EXPECT_ARCC_ERROR(parseU64("--channels", " 5"), "--channels");
+    EXPECT_ARCC_ERROR(parseDouble("--years", " 5"), "--years");
 }
 
 TEST(ParseNumDeath, PlusPrefixIsFatal)
 {
-    EXPECT_DEATH(parseU64("--channels", "+5"), "--channels");
-    EXPECT_DEATH(parseDouble("--years", "+5"), "--years");
+    EXPECT_ARCC_ERROR(parseU64("--channels", "+5"), "--channels");
+    EXPECT_ARCC_ERROR(parseDouble("--years", "+5"), "--years");
 }
 
 TEST(ParseNumDeath, DoubleOverflowIsFatal)
 {
-    EXPECT_DEATH(parseDouble("--boost", "1e999"),
-                 "--boost.*out of range");
+    EXPECT_ARCC_ERROR(parseDouble("--boost", "1e999"),
+                      "--boost.*out of range");
 }
 
 TEST(ParseNumDeath, IntRangeIsChecked)
 {
-    EXPECT_DEATH(parseInt("--group-devices", "2147483648"),
-                 "--group-devices.*out of range");
+    EXPECT_ARCC_ERROR(parseInt("--group-devices", "2147483648"),
+                      "--group-devices.*out of range");
 }
 
 // --- environment variables ---------------------------------------------
@@ -175,8 +173,8 @@ TEST(ParseNumEnvDeath, BenchInstrsGarbageIsFatal)
     // Old behaviour: ARCC_BENCH_INSTRS=1m ran a 1-instruction bench
     // whose rows looked plausible.
     ::setenv("ARCC_BENCH_INSTRS", "1m", 1);
-    EXPECT_DEATH(envU64("ARCC_BENCH_INSTRS", 1'000'000),
-                 "ARCC_BENCH_INSTRS.*unsigned integer.*1m");
+    EXPECT_ARCC_ERROR(envU64("ARCC_BENCH_INSTRS", 1'000'000),
+                      "ARCC_BENCH_INSTRS.*unsigned integer.*1m");
     ::unsetenv("ARCC_BENCH_INSTRS");
 }
 

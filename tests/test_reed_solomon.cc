@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "ecc/reed_solomon.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -313,10 +314,8 @@ TEST(ReedSolomon, ErasedDeviceWithSecondErrorCorrects)
 
 TEST(ReedSolomon, RejectsInvalidGeometry)
 {
-    EXPECT_EXIT(ReedSolomon(300, 200), ::testing::ExitedWithCode(1),
-                "out of range");
-    EXPECT_EXIT(ReedSolomon(10, 10), ::testing::ExitedWithCode(1),
-                "out of range");
+    EXPECT_ARCC_ERROR(ReedSolomon(300, 200), "out of range");
+    EXPECT_ARCC_ERROR(ReedSolomon(10, 10), "out of range");
 }
 
 // --- polynomial helpers ----------------------------------------------

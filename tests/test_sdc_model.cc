@@ -7,6 +7,7 @@
 
 #include "campaign/campaign.hh"
 #include "reliability/sdc_model.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -149,8 +150,7 @@ TEST(SdcModel, RejectsInconsistentGeometry)
 {
     SdcModelConfig cfg = SdcModelConfig::arccMachine();
     cfg.groups = 3;
-    EXPECT_EXIT(SdcModel m(cfg), ::testing::ExitedWithCode(1),
-                "groups");
+    EXPECT_ARCC_ERROR(SdcModel m(cfg), "groups");
 }
 
 TEST(MeasureMiscorrection, DoubleErrorAliasRateNearNOverQ)

@@ -10,8 +10,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -25,6 +27,7 @@
 #include "service/request.hh"
 #include "service/server.hh"
 #include "service/sim_service.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -63,6 +66,29 @@ TEST(Json, RejectsTheSharpEdges)
                              v, err));
     EXPECT_FALSE(json::parse("", v, err));
 }
+
+/**
+ * Four copies of `content` under unique temp names, and the trace
+ * request line naming them.
+ */
+std::string
+traceRequestOver(const std::string &tag, const std::string &content)
+{
+    std::string line = "{\"kind\":\"trace\",\"paths\":[";
+    for (int core = 0; core < 4; ++core) {
+        const std::string path = ::testing::TempDir() + tag + "_" +
+                                 std::to_string(::getpid()) + "_c" +
+                                 std::to_string(core);
+        std::ofstream(path, std::ios::binary) << content;
+        if (core)
+            line += ",";
+        line += json::quote(path);
+    }
+    return line + "]}";
+}
+
+/** Text that is not a trace: the parser rejects line 1. */
+const char kNotATrace[] = "zz not a trace\n";
 
 // --- request parsing ----------------------------------------------------
 
@@ -110,6 +136,25 @@ TEST(ServiceRequest, RejectsWithoutFatal)
         std::string err;
         EXPECT_FALSE(ServiceRequest::parse(line, req, err)) << line;
         EXPECT_FALSE(err.empty()) << line;
+    }
+}
+
+TEST(ServiceRequest, UnknownNamesKeepTheirWireText)
+{
+    // The library lookups raise these; the wire carries them as is.
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"kind\":\"mix\",\"config\":\"x\"}",
+         "unknown config \"x\" (baseline|arcc|arcc4|arcc8)"},
+        {"{\"kind\":\"mix\",\"fault\":\"x\"}",
+         "unknown fault \"x\" (none|lane|device|bank|column)"},
+        {"{\"kind\":\"mix\",\"mix\":\"x\"}",
+         "unknown mix \"x\" (Mix1..Mix12)"},
+    };
+    for (const auto &[line, want] : cases) {
+        ServiceRequest req;
+        std::string err;
+        EXPECT_FALSE(ServiceRequest::parse(line, req, err)) << line;
+        EXPECT_EQ(err, want) << line;
     }
 }
 
@@ -307,6 +352,45 @@ TEST_F(SimServiceTest, MalformedLineGetsErrorAndServiceLives)
     EXPECT_EQ(stats.received, 2u);
 }
 
+// Regression: a trace that fails to parse used to fatal() inside the
+// worker and take the daemon down.  The error is now the request's
+// answer, it is never cached, and every resend recomputes it.
+TEST_F(SimServiceTest, BadTraceErrorsAreRecomputedNotCached)
+{
+    SimService service(opts_);
+    const std::string line = traceRequestOver("svc_badtrace", kNotATrace);
+    for (std::uint64_t attempt = 1; attempt <= 3; ++attempt) {
+        const ServiceResponse resp = service.evaluate(line);
+        EXPECT_EQ(resp.body.rfind(
+                      "{\"ok\":false,\"error\":\"trace line 1: ", 0),
+                  0u)
+            << resp.body;
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.errors, attempt);
+        EXPECT_EQ(stats.cacheMisses, attempt);
+        EXPECT_EQ(stats.cacheEntries, 0u);
+    }
+}
+
+// Regression: TraceStream's constructor fatal()s on a torn binary
+// trace after opening it; a throw there must not leak the descriptor.
+TEST_F(SimServiceTest, TornBinaryTraceLeaksNoDescriptors)
+{
+    if (test::openFdCount() < 0)
+        GTEST_SKIP() << "/proc/self/fd is not available";
+    SimService service(opts_);
+    const std::string line =
+        traceRequestOver("svc_torn", std::string("ARCCTRC1") + "abc");
+    const long before = test::openFdCount();
+    for (int i = 0; i < 20; ++i) {
+        const ServiceResponse resp = service.evaluate(line);
+        ASSERT_EQ(resp.body.rfind("{\"ok\":false", 0), 0u) << resp.body;
+        EXPECT_NE(resp.body.find("truncated"), std::string::npos)
+            << resp.body;
+    }
+    EXPECT_EQ(test::openFdCount(), before);
+}
+
 TEST_F(SimServiceTest, MemoizationServesByteIdenticalResponses)
 {
     SimService service(opts_);
@@ -471,6 +555,25 @@ TEST_F(ServerTest, PipelinedRequestsComeBackInOrder)
     EXPECT_NE(responses[3].find("\"stats\""), std::string::npos);
     // Responses 0 and 2 are different requests -> different bodies.
     EXPECT_NE(responses[0], responses[2]);
+}
+
+// Regression: a bad trace request used to end the daemon, so both it
+// and the request pipelined behind it got an empty read.
+TEST_F(ServerTest, BadTraceIsAnsweredInItsSlotAndServingGoesOn)
+{
+    TestClient client;
+    ASSERT_TRUE(client.connect(server_->socketPath()));
+    ASSERT_TRUE(client.sendLine(
+        traceRequestOver("srv_badtrace", kNotATrace)));
+    ASSERT_TRUE(client.sendLine("{\"kind\":\"stats\"}"));
+    std::string bad, stats;
+    ASSERT_TRUE(client.readLine(bad));
+    ASSERT_TRUE(client.readLine(stats));
+    EXPECT_EQ(bad.rfind("{\"ok\":false,\"error\":\"trace line 1: ", 0),
+              0u)
+        << bad;
+    EXPECT_EQ(stats.rfind("{\"ok\":true,\"kind\":\"stats\"", 0), 0u)
+        << stats;
 }
 
 TEST_F(ServerTest, TwoClientsGetIdenticalAnswers)

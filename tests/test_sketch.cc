@@ -14,6 +14,7 @@
 
 #include "common/rng.hh"
 #include "common/sketch.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -155,25 +156,23 @@ TEST(Sketch, SerializeRoundTripsBitIdentically)
 
 TEST(SketchDeathTest, BadInputsAreFatal)
 {
-    EXPECT_EXIT(StreamingHistogram(1.0, 1.0, 8),
-                ::testing::ExitedWithCode(1), "degenerate");
-    EXPECT_EXIT(StreamingHistogram(0.0, 1.0, 0),
-                ::testing::ExitedWithCode(1), "bad bin count");
+    EXPECT_ARCC_ERROR(StreamingHistogram(1.0, 1.0, 8), "degenerate");
+    EXPECT_ARCC_ERROR(StreamingHistogram(0.0, 1.0, 0), "bad bin count");
 
-    EXPECT_EXIT(
+    EXPECT_ARCC_ERROR(
         {
             StreamingHistogram h(0.0, 1.0, 8);
             h.add(std::nan(""));
         },
-        ::testing::ExitedWithCode(1), "NaN");
+        "NaN");
 
-    EXPECT_EXIT(
+    EXPECT_ARCC_ERROR(
         {
             StreamingHistogram a(0.0, 1.0, 8);
             StreamingHistogram b(0.0, 1.0, 16);
             a.merge(b);
         },
-        ::testing::ExitedWithCode(1), "mismatched shapes");
+        "mismatched shapes");
 }
 
 TEST(SketchDeathTest, TruncatedBlobIsFatal)
@@ -185,13 +184,13 @@ TEST(SketchDeathTest, TruncatedBlobIsFatal)
     // Every proper prefix must be rejected, not silently zero-filled.
     for (std::size_t cut : {blob.size() - 1, blob.size() / 2,
                             std::size_t{5}}) {
-        EXPECT_EXIT(
+        EXPECT_ARCC_ERROR(
             {
                 const std::uint8_t *cursor = blob.data();
                 StreamingHistogram::deserializeFrom(&cursor,
                                                     blob.data() + cut);
             },
-            ::testing::ExitedWithCode(1), "truncated blob")
+            "truncated blob")
             << "cut=" << cut;
     }
 }

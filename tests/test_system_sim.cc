@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/system_sim.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -220,8 +221,8 @@ TEST(SystemSimDeathTest, StreamCountMustMatchConfiguredCores)
         s.next = [] { return CoreWorkload::Access{0, false, 100}; };
         s.baseIpc = 1.0;
     }
-    EXPECT_DEATH(simulateStreams(std::move(streams), cfg, {}),
-                 "config.cores");
+    EXPECT_ARCC_ERROR(simulateStreams(std::move(streams), cfg, {}),
+                      "config.cores");
 }
 
 TEST(SystemSim, BackgroundScrubCostsIpcAndShowsUpInTraffic)

@@ -16,6 +16,7 @@
 
 #include "cpu/system_sim.hh"
 #include "cpu/trace.hh"
+#include "expect_error.hh"
 
 namespace arcc
 {
@@ -122,28 +123,21 @@ TEST(Trace, CommentOnlyFileParsesToNothing)
 TEST(TraceDeathTest, MalformedLinesAreFatal)
 {
     std::istringstream bad1("zzz\n");
-    EXPECT_EXIT(parseTrace(bad1), ::testing::ExitedWithCode(1),
-                "malformed");
+    EXPECT_ARCC_ERROR(parseTrace(bad1), "malformed");
     std::istringstream bad2("1000 X 5\n");
-    EXPECT_EXIT(parseTrace(bad2), ::testing::ExitedWithCode(1),
-                "not R or W");
+    EXPECT_ARCC_ERROR(parseTrace(bad2), "not R or W");
     std::istringstream bad3("zzz R 5\n");
-    EXPECT_EXIT(parseTrace(bad3), ::testing::ExitedWithCode(1),
-                "not a hex address");
+    EXPECT_ARCC_ERROR(parseTrace(bad3), "not a hex address");
     std::istringstream bad4("1000 R 5 junk\n");
-    EXPECT_EXIT(parseTrace(bad4), ::testing::ExitedWithCode(1),
-                "trailing garbage");
+    EXPECT_ARCC_ERROR(parseTrace(bad4), "trailing garbage");
     std::istringstream bad5("1000 R -5\n");
-    EXPECT_EXIT(parseTrace(bad5), ::testing::ExitedWithCode(1),
-                "not an instruction gap");
+    EXPECT_ARCC_ERROR(parseTrace(bad5), "not an instruction gap");
     std::istringstream bad6("1000 R gap\n");
-    EXPECT_EXIT(parseTrace(bad6), ::testing::ExitedWithCode(1),
-                "not an instruction gap");
+    EXPECT_ARCC_ERROR(parseTrace(bad6), "not an instruction gap");
     // strtoull would silently *wrap* a signed address to a huge
     // value; the parser must reject it instead.
     std::istringstream bad7("-1000 R 5\n");
-    EXPECT_EXIT(parseTrace(bad7), ::testing::ExitedWithCode(1),
-                "not a hex address");
+    EXPECT_ARCC_ERROR(parseTrace(bad7), "not a hex address");
 }
 
 TEST(TraceDeathTest, WriteFailuresAreFatal)
@@ -154,30 +148,26 @@ TEST(TraceDeathTest, WriteFailuresAreFatal)
     std::ostringstream text;
     TraceWriter tw(text);
     text.setstate(std::ios::badbit);
-    EXPECT_EXIT(tw.append({}), ::testing::ExitedWithCode(1),
-                "write failed");
+    EXPECT_ARCC_ERROR(tw.append({}), "write failed");
 
     std::ostringstream bin;
     BinaryTraceWriter bw(bin);
     bin.setstate(std::ios::badbit);
-    EXPECT_EXIT(bw.append({}), ::testing::ExitedWithCode(1),
-                "write failed");
+    EXPECT_ARCC_ERROR(bw.append({}), "write failed");
 
-    EXPECT_EXIT(captureSyntheticTrace("swim", 1ULL << 30, 0, 1, 1000,
-                                      "/nonexistent/capture.bin"),
-                ::testing::ExitedWithCode(1), "cannot create");
+    EXPECT_ARCC_ERROR(captureSyntheticTrace("swim", 1ULL << 30, 0, 1, 1000,
+                                            "/nonexistent/capture.bin"),
+                      "cannot create");
 }
 
 TEST(TraceDeathTest, UnopenableFileIsFatal)
 {
-    EXPECT_EXIT(loadTrace("/nonexistent/trace.txt"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_ARCC_ERROR(loadTrace("/nonexistent/trace.txt"), "cannot open");
 }
 
 TEST(TraceDeathTest, EmptyReplayIsFatal)
 {
-    EXPECT_EXIT(TraceReplay{{}}, ::testing::ExitedWithCode(1),
-                "empty trace");
+    EXPECT_ARCC_ERROR(TraceReplay{{}}, "empty trace");
 }
 
 // --- binary format -----------------------------------------------------
@@ -240,24 +230,21 @@ TEST(BinaryTraceDeathTest, OversizedGapIsFatal)
     a.instrGap = 1ULL << 63; // collides with the write flag.
     std::ostringstream bin;
     BinaryTraceWriter writer(bin);
-    EXPECT_EXIT(writer.append(a), ::testing::ExitedWithCode(1),
-                "does not fit");
+    EXPECT_ARCC_ERROR(writer.append(a), "does not fit");
 }
 
 TEST(BinaryTraceDeathTest, BadMagicAndTruncationAreFatal)
 {
     std::istringstream not_binary("1000 R 5\n");
     std::ostringstream text;
-    EXPECT_EXIT(binaryTraceToText(not_binary, text),
-                ::testing::ExitedWithCode(1), "magic");
+    EXPECT_ARCC_ERROR(binaryTraceToText(not_binary, text), "magic");
 
     std::ostringstream bin;
     BinaryTraceWriter writer(bin);
     writer.append({});
     std::istringstream truncated(bin.str().substr(
         0, sizeof kTraceMagic + kTraceRecordBytes / 2));
-    EXPECT_EXIT(binaryTraceToText(truncated, text),
-                ::testing::ExitedWithCode(1), "truncated");
+    EXPECT_ARCC_ERROR(binaryTraceToText(truncated, text), "truncated");
 }
 
 TEST(BinaryTrace, FileConvertersAndDetection)
@@ -327,24 +314,21 @@ TEST(TraceStream, MatchesTraceReplayAtEveryChunkSize)
 
 TEST(TraceStreamDeathTest, BadInputsAreFatal)
 {
-    EXPECT_EXIT(TraceStream("/nonexistent/trace.bin"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_ARCC_ERROR(TraceStream("/nonexistent/trace.bin"), "cannot open");
 
     TempFile text(tempPath("text_as_bin.txt"));
     {
         std::ofstream out(text.path);
         out << "1000 R 5\n";
     }
-    EXPECT_EXIT(TraceStream(text.path), ::testing::ExitedWithCode(1),
-                "magic");
+    EXPECT_ARCC_ERROR(TraceStream(text.path), "magic");
 
     TempFile empty(tempPath("empty.bin"));
     {
         std::ofstream out(empty.path, std::ios::binary);
         BinaryTraceWriter writer(out); // magic, zero records.
     }
-    EXPECT_EXIT(TraceStream(empty.path), ::testing::ExitedWithCode(1),
-                "no accesses");
+    EXPECT_ARCC_ERROR(TraceStream(empty.path), "no accesses");
 
     TempFile truncated(tempPath("truncated.bin"));
     {
@@ -353,8 +337,7 @@ TEST(TraceStreamDeathTest, BadInputsAreFatal)
         writer.append({});
         out.write("x", 1); // half a record's worth of trailing junk.
     }
-    EXPECT_EXIT(TraceStream(truncated.path),
-                ::testing::ExitedWithCode(1), "truncated");
+    EXPECT_ARCC_ERROR(TraceStream(truncated.path), "truncated");
 }
 
 TEST(TraceStreamDeathTest, TornFinalRecordIsFatalAtEveryOffset)
@@ -374,8 +357,7 @@ TEST(TraceStreamDeathTest, TornFinalRecordIsFatalAtEveryOffset)
         std::filesystem::resize_file(
             bin.path,
             sizeof kTraceMagic + 3 * kTraceRecordBytes + cut);
-        EXPECT_EXIT(TraceStream(bin.path),
-                    ::testing::ExitedWithCode(1), "torn final write");
+        EXPECT_ARCC_ERROR(TraceStream(bin.path), "torn final write");
     }
 }
 
@@ -392,8 +374,7 @@ TEST(BinaryTraceDeathTest, TornFinalRecordIsFatalAtEveryOffset)
         std::istringstream torn(whole.substr(
             0, sizeof kTraceMagic + kTraceRecordBytes + cut));
         std::ostringstream text;
-        EXPECT_EXIT(binaryTraceToText(torn, text),
-                    ::testing::ExitedWithCode(1), "torn final write");
+        EXPECT_ARCC_ERROR(binaryTraceToText(torn, text), "torn final write");
     }
 }
 
@@ -406,7 +387,7 @@ TEST(TraceStreamDeathTest, FileShrinkingMidReplayIsFatal)
         for (const auto &a : syntheticAccesses(64, 17))
             writer.append(a);
     }
-    EXPECT_EXIT(
+    EXPECT_ARCC_ERROR(
         {
             TraceStream stream(bin.path, 8);
             std::filesystem::resize_file(
@@ -414,7 +395,7 @@ TEST(TraceStreamDeathTest, FileShrinkingMidReplayIsFatal)
             for (int i = 0; i < 64; ++i)
                 stream.next();
         },
-        ::testing::ExitedWithCode(1), "shrank");
+        "shrank");
 }
 
 // --- StreamSpec factories ----------------------------------------------
@@ -456,8 +437,7 @@ TEST(TraceStreamSpecDeathTest, EmptyTextTraceIsFatal)
         std::ofstream out(text.path);
         out << "# a trace with no accesses\n\n";
     }
-    EXPECT_EXIT(traceStreamSpec(text.path, 1.0),
-                ::testing::ExitedWithCode(1), "no accesses");
+    EXPECT_ARCC_ERROR(traceStreamSpec(text.path, 1.0), "no accesses");
 }
 
 // --- end-to-end through the simulator ----------------------------------
