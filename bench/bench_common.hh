@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared plumbing for the per-figure bench binaries.
+ * Shared plumbing for the bench binaries: the instruction budget and
+ * the machine-readable jsonRow lines every bench prints beside its
+ * human tables.
  *
- * Every bench prints the rows/series of one paper table or figure.
  * The simulated instruction budget scales with ARCC_BENCH_INSTRS
  * (default one million per core, which reproduces the shapes in a few
  * seconds per figure; the paper used 2 billion cycles in M5).
@@ -11,21 +12,16 @@
 #ifndef ARCC_BENCH_BENCH_COMMON_HH
 #define ARCC_BENCH_BENCH_COMMON_HH
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "campaign/campaign.hh"
 #include "common/logging.hh"
 #include "common/parse_num.hh"
-#include "common/table.hh"
-#include "cpu/system_sim.hh"
+#include "common/rng.hh"
 #include "engine/sim_engine.hh"
-#include "faults/fault_model.hh"
 
 namespace arcc::bench
 {
@@ -114,147 +110,6 @@ jsonRow(const std::string &bench,
         out += ",\"" + key + "\":" + value;
     out += "}";
     std::printf("%s\n", out.c_str());
-}
-
-/** Standard simulation config for a memory configuration. */
-inline SystemConfig
-systemConfig(const MemoryConfig &mem)
-{
-    SystemConfig cfg;
-    cfg.mem = mem;
-    cfg.instrsPerCore = instrBudget();
-    cfg.seed = 20130223; // HPCA 2013.
-    return cfg;
-}
-
-/** The Table 7.4 fault scenarios in paper order. */
-inline const std::vector<PageUpgradeOracle::Scenario> &
-faultScenarios()
-{
-    static const std::vector<PageUpgradeOracle::Scenario> s = {
-        PageUpgradeOracle::Scenario::Lane,
-        PageUpgradeOracle::Scenario::Device,
-        PageUpgradeOracle::Scenario::Bank,
-        PageUpgradeOracle::Scenario::Column,
-    };
-    return s;
-}
-
-/** Power / performance overheads of one fault scenario vs fault-free. */
-struct ScenarioOverheads
-{
-    /** Fractional power increase per scenario (paper Figure 7.2). */
-    std::array<double, 4> power{};
-    /** Fractional IPC decrease per scenario (paper Figure 7.3). */
-    std::array<double, 4> perf{};
-};
-
-/**
- * Measure the mix-averaged overhead of each Table 7.4 scenario on the
- * ARCC configuration (methodology step 1 of Section 7.1).
- *
- * The whole (mix x {clean, 4 scenarios}) grid is submitted to the
- * SimEngine as one simulateMixBatch and reduced in mix order, so the
- * averages are bit-identical at any thread count.
- *
- * @param mixes how many of the 12 mixes to average (all by default).
- */
-inline ScenarioOverheads
-measureScenarioOverheads(int mixes = 12)
-{
-    ARCC_ASSERT(mixes >= 1 &&
-                mixes <= static_cast<int>(table73Mixes().size()));
-    const SystemConfig cfg = systemConfig(arccConfig());
-    const std::size_t scenarios = faultScenarios().size();
-    // ScenarioOverheads and the sums below are fixed-size arrays.
-    ARCC_ASSERT(scenarios == 4);
-    const std::size_t per_mix = scenarios + 1; // clean job first.
-
-    std::vector<MixJob> jobs;
-    jobs.reserve(mixes * per_mix);
-    for (int m = 0; m < mixes; ++m) {
-        const WorkloadMix &mix = table73Mixes()[m];
-        jobs.push_back({mix, cfg, {}});
-        for (std::size_t s = 0; s < scenarios; ++s)
-            jobs.push_back({mix, cfg,
-                            PageUpgradeOracle::forScenario(
-                                faultScenarios()[s], cfg.mem)});
-    }
-    std::vector<SimResult> results = simulateMixBatch(jobs);
-
-    ScenarioOverheads out;
-    std::array<double, 4> power_sum{};
-    std::array<double, 4> perf_sum{};
-    for (int m = 0; m < mixes; ++m) {
-        const SimResult &clean = results[m * per_mix];
-        for (std::size_t s = 0; s < scenarios; ++s) {
-            const SimResult &r = results[m * per_mix + 1 + s];
-            power_sum[s] += r.avgPowerMw / clean.avgPowerMw - 1.0;
-            perf_sum[s] += 1.0 - r.ipcSum / clean.ipcSum;
-        }
-    }
-    for (std::size_t s = 0; s < 4; ++s) {
-        out.power[s] = power_sum[s] / mixes;
-        out.perf[s] = perf_sum[s] / mixes;
-    }
-    return out;
-}
-
-/**
- * Map measured scenario overheads onto the fault taxonomy for the
- * fleet overhead curves (Figures 7.4 / 7.5).  Row / word / bit faults
- * upgrade a negligible number of pages, so their overhead is ~0.
- */
-inline PerTypeOverhead
-toPerTypeOverhead(const std::array<double, 4> &scenario)
-{
-    PerTypeOverhead o{};
-    o[static_cast<int>(FaultType::Lane)] = scenario[0];
-    o[static_cast<int>(FaultType::Device)] = scenario[1];
-    o[static_cast<int>(FaultType::Bank)] = scenario[2];
-    o[static_cast<int>(FaultType::Column)] = scenario[3];
-    return o;
-}
-
-/** Worst-case-estimate overhead: the upgraded page fraction itself. */
-inline PerTypeOverhead
-worstCaseOverhead(const DomainGeometry &geom, double cost_factor)
-{
-    PerTypeOverhead o{};
-    for (FaultType t : allFaultTypes())
-        o[static_cast<int>(t)] =
-            cost_factor * geom.pageFraction(t);
-    return o;
-}
-
-/** Default reliability-domain geometry (72 devices, 4 GB). */
-inline DomainGeometry
-defaultGeometry()
-{
-    DomainGeometry g;
-    g.ranks = 2;
-    g.devicesPerRank = 36;
-    g.banksPerDevice = 8;
-    g.pagesPerRow = 2;
-    g.pages = 1048576;
-    return g;
-}
-
-/**
- * The paper's fleet for the lifetime curves (Figures 3.1 and
- * 7.4-7.6): 10000 channels of `geom` over 7 years at `factor`x the
- * field-study rates, seed 2013.
- */
-inline CampaignSpec
-fleetSpec(const DomainGeometry &geom, double factor)
-{
-    CampaignSpec spec;
-    spec.geom = geom;
-    spec.rateBoost = factor;
-    spec.years = 7.0;
-    spec.channels = 10000;
-    spec.seed = 2013;
-    return spec;
 }
 
 } // namespace arcc::bench

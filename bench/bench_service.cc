@@ -21,6 +21,7 @@
 
 #include "bench_common.hh"
 #include "common/crc32c.hh"
+#include "common/table.hh"
 #include "service/sim_service.hh"
 
 using namespace arcc;

@@ -15,27 +15,11 @@ namespace arcc
 namespace
 {
 
-LogLevel g_threshold = LogLevel::Inform;
-
-const char *
-levelTag(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Panic:  return "panic";
-      case LogLevel::Fatal:  return "fatal";
-      case LogLevel::Warn:   return "warn";
-      case LogLevel::Inform: return "info";
-      case LogLevel::Debug:  return "debug";
-    }
-    return "?";
-}
-
+/** Print "[<tag>] <message>" as one line on stderr. */
 void
-vlogMessage(LogLevel level, const char *fmt, va_list args)
+vlogMessage(const char *tag, const char *fmt, va_list args)
 {
-    if (static_cast<int>(level) > static_cast<int>(g_threshold))
-        return;
-    std::fprintf(stderr, "[%s] ", levelTag(level));
+    std::fprintf(stderr, "[%s] ", tag);
     std::vfprintf(stderr, fmt, args);
     std::fprintf(stderr, "\n");
 }
@@ -55,7 +39,7 @@ onTerminate()
         try {
             std::rethrow_exception(error);
         } catch (const Error &e) {
-            logMessage(LogLevel::Fatal, "%s", e.what());
+            std::fprintf(stderr, "[fatal] %s\n", e.what());
             std::exit(1);
         } catch (...) {
         }
@@ -73,32 +57,11 @@ const bool g_terminateInstalled = [] {
 } // anonymous namespace
 
 void
-setLogThreshold(LogLevel level)
-{
-    g_threshold = level;
-}
-
-LogLevel
-logThreshold()
-{
-    return g_threshold;
-}
-
-void
-logMessage(LogLevel level, const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vlogMessage(level, fmt, args);
-    va_end(args);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    vlogMessage(LogLevel::Panic, fmt, args);
+    vlogMessage("panic", fmt, args);
     va_end(args);
     std::abort();
 }
@@ -124,16 +87,7 @@ warn(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    vlogMessage(LogLevel::Warn, fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vlogMessage(LogLevel::Inform, fmt, args);
+    vlogMessage("warn", fmt, args);
     va_end(args);
 }
 

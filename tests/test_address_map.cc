@@ -23,18 +23,26 @@ struct MapCase
     MapPolicy policy;
 };
 
+const char *
+policyName(MapPolicy policy)
+{
+    return policy == MapPolicy::HiPerf      ? "HiPerf"
+           : policy == MapPolicy::ClosePage ? "ClosePage"
+                                            : "Base";
+}
+
+/** Names the case in ctest, instead of a byte dump of the struct. */
+void
+PrintTo(const MapCase &c, std::ostream *os)
+{
+    *os << c.config << "/" << policyName(c.policy);
+}
+
+/** The library's config table plus the nine-device LOT-ECC config. */
 MemoryConfig
 configByName(const std::string &name)
 {
-    if (name == "baseline")
-        return baselineConfig();
-    if (name == "arcc")
-        return arccConfig();
-    if (name == "arcc4")
-        return arccConfig4();
-    if (name == "arcc8")
-        return arccConfig8();
-    return lotEcc9Config();
+    return name == "lot9" ? lotEcc9Config() : memoryConfigByName(name);
 }
 
 class MapSweep : public ::testing::TestWithParam<MapCase>
@@ -100,11 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MapCase{"arcc8", MapPolicy::Base},
                       MapCase{"lot9", MapPolicy::HiPerf}),
     [](const ::testing::TestParamInfo<MapCase> &info) {
-        std::string policy =
-            info.param.policy == MapPolicy::HiPerf      ? "HiPerf"
-            : info.param.policy == MapPolicy::ClosePage ? "ClosePage"
-                                                        : "Base";
-        return std::string(info.param.config) + "_" + policy;
+        return std::string(info.param.config) + "_" +
+               policyName(info.param.policy);
     });
 
 TEST(AddressMap, AdjacentLinesAlternateChannelsUnderHiPerf)
