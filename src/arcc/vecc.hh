@@ -113,22 +113,6 @@ class VeccMemory
     /** Read one line: tier-1 fast path, tier-2 on detection. */
     VeccReadResult read(std::uint64_t line);
 
-    /**
-     * Batched read: the tier-1 syndrome screen runs over the whole
-     * batch first (allocation-free per line), then the lines it
-     * flagged take one grouped tier-2 pass -- fetching their
-     * virtualised symbols and running the extended-syndrome decode
-     * back to back over one reused workspace, the way a memory
-     * controller would burst the tier-2 fetches of a faulty rank.
-     *
-     * `out` is resized to lines.size(); its per-line buffers are
-     * reused across calls, so a steady-state caller allocates nothing
-     * after the first batch.  Results and stats are identical to
-     * calling read() per line in order.
-     */
-    void readBatch(std::span<const std::uint64_t> lines,
-                   std::vector<VeccReadResult> &out);
-
     /** Mark a device bad: its symbol is corrupted on every read. */
     void killDevice(int device);
     /** Clear injected faults. */
@@ -165,8 +149,6 @@ class VeccMemory
 
     /** Decode scratch (this memory is single-owner, like its Rng). */
     RsWorkspace ws_;
-    /** Batch indices flagged for the tier-2 pass. */
-    std::vector<std::size_t> flagged_;
 };
 
 } // namespace arcc

@@ -108,14 +108,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** @return exponential variate with the given rate (mean 1/rate). */
-    double
-    exponential(double rate)
-    {
-        // 1 - uniform() is in (0, 1]; log of it is finite.
-        return -std::log(1.0 - uniform()) / rate;
-    }
-
     /** @return geometric-ish integer >= 1 with mean roughly `mean`. */
     std::uint64_t
     geometric(double mean)
@@ -188,60 +180,11 @@ class Rng
         return Rng(mix64(mix64(z)));
     }
 
-    /**
-     * Jump ahead 2^128 steps (the canonical xoshiro256** jump
-     * polynomial): carves the period into 2^128 non-overlapping
-     * subsequences, one jump() apart.
-     */
-    void
-    jump()
-    {
-        static constexpr std::uint64_t kJump[] = {
-            0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-            0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-        applyJump(kJump);
-    }
-
-    /**
-     * Jump ahead 2^192 steps; yields 2^64 starting points 2^128
-     * long-jump-free steps apart (sub-streams within a jump block).
-     */
-    void
-    longJump()
-    {
-        static constexpr std::uint64_t kLongJump[] = {
-            0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
-            0x77710069854ee241ULL, 0x39109bb02acbe635ULL};
-        applyJump(kLongJump);
-    }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
-    }
-
-    /** Polynomial-jump helper shared by jump() and longJump(). */
-    void
-    applyJump(const std::uint64_t (&poly)[4])
-    {
-        std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-        for (int i = 0; i < 4; ++i) {
-            for (int b = 0; b < 64; ++b) {
-                if (poly[i] & (1ULL << b)) {
-                    s0 ^= state_[0];
-                    s1 ^= state_[1];
-                    s2 ^= state_[2];
-                    s3 ^= state_[3];
-                }
-                next();
-            }
-        }
-        state_[0] = s0;
-        state_[1] = s1;
-        state_[2] = s2;
-        state_[3] = s3;
     }
 
     std::uint64_t state_[4];

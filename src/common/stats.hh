@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace arcc
 {
@@ -86,88 +85,6 @@ class RunningStat
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/**
- * Fixed-bin histogram over [lo, hi); samples outside the range land in
- * the first / last bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins)
-        : lo_(lo), hi_(hi), counts_(bins, 0)
-    {
-    }
-
-    /** Add one sample. */
-    void
-    add(double x)
-    {
-        double t = (x - lo_) / (hi_ - lo_);
-        std::int64_t idx =
-            static_cast<std::int64_t>(t * static_cast<double>(size()));
-        idx = std::clamp<std::int64_t>(
-            idx, 0, static_cast<std::int64_t>(size()) - 1);
-        ++counts_[static_cast<std::size_t>(idx)];
-        ++total_;
-    }
-
-    /** @return number of bins. */
-    std::size_t size() const { return counts_.size(); }
-
-    /** @return raw count of bin i. */
-    std::uint64_t count(std::size_t i) const { return counts_[i]; }
-
-    /** @return total samples. */
-    std::uint64_t total() const { return total_; }
-
-    /** @return fraction of samples in bin i. */
-    double
-    fraction(std::size_t i) const
-    {
-        return total_ ? static_cast<double>(counts_[i]) /
-                            static_cast<double>(total_)
-                      : 0.0;
-    }
-
-    /** @return left edge of bin i. */
-    double
-    edge(std::size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                         static_cast<double>(size());
-    }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
-/** @return arithmetic mean of a vector (0 when empty). */
-inline double
-meanOf(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : v)
-        s += x;
-    return s / static_cast<double>(v.size());
-}
-
-/** @return geometric mean of a vector of positive values. */
-inline double
-geomeanOf(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : v)
-        s += std::log(x);
-    return std::exp(s / static_cast<double>(v.size()));
-}
 
 } // namespace arcc
 

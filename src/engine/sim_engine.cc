@@ -6,12 +6,8 @@
 #include "engine/sim_engine.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "common/parse_num.hh"
@@ -49,53 +45,46 @@ envThreads()
     return static_cast<int>(n);
 }
 
-/** Completion state shared by one forEachShard call. */
-struct ShardGroup
-{
-    std::mutex mutex;
-    std::condition_variable done;
-    std::uint64_t remaining;
-    std::exception_ptr error;
-    /** Set on first failure; later shards return without running. */
-    std::atomic<bool> cancelled{false};
-
-    explicit ShardGroup(std::uint64_t shards) : remaining(shards) {}
-
-    void
-    finishOne()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (--remaining == 0)
-            done.notify_all();
-    }
-
-    void
-    fail(std::exception_ptr e)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!error)
-                error = std::move(e);
-        }
-        cancelled.store(true, std::memory_order_relaxed);
-    }
-};
-
 } // anonymous namespace
+
+struct SimEngine::ShardGroup
+{
+    const std::function<void(const ShardRange &)> *body;
+    /** Shards not yet finished. */
+    std::uint64_t remaining;
+    /** First exception thrown by a body; once set, the call's queued
+     *  shards finish without running. */
+    std::exception_ptr error;
+};
 
 SimEngine::SimEngine() : SimEngine(Options{}) {}
 
 SimEngine::SimEngine(const Options &options)
-    : pool_([&] {
-          int threads = options.threads;
-          if (threads == 0)
-              threads = envThreads();
-          if (threads == 0)
-              threads = ThreadPool::hardwareThreads();
-          ARCC_ASSERT(threads >= 1);
-          return threads - 1; // the calling thread is an executor too.
-      }())
 {
+    int threads = options.threads;
+    if (threads == 0)
+        threads = envThreads();
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    ARCC_ASSERT(threads >= 1);
+    // The calling thread is an executor too.
+    workers_.reserve(threads - 1);
+    for (int i = 1; i < threads; ++i)
+        workers_.emplace_back([this] { workerMain(); });
+}
+
+SimEngine::~SimEngine()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Every forEachShard waits for its own shards, so nothing can
+        // still be queued once no call is in flight.
+        ARCC_ASSERT(tasks_.empty());
+        stopping_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread &t : workers_)
+        t.join();
 }
 
 SimEngine &
@@ -103,6 +92,44 @@ SimEngine::global()
 {
     static SimEngine engine;
     return engine;
+}
+
+void
+SimEngine::runShard(std::unique_lock<std::mutex> &lock,
+                    const Task &task) const
+{
+    ShardGroup &group = *task.group;
+    std::exception_ptr error;
+    if (!group.error) {
+        lock.unlock();
+        try {
+            (*group.body)(task.range);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        lock.lock();
+    }
+    if (error && !group.error)
+        group.error = std::move(error);
+    // The waiter may destroy the group as soon as the lock drops.
+    if (--group.remaining == 0)
+        wake_.notify_all();
+}
+
+void
+SimEngine::workerMain()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        wake_.wait(lock, [&] { return stopping_ || !tasks_.empty(); });
+        if (tasks_.empty())
+            return;
+        // Newest first: a nested call's shards run before the outer
+        // call's remaining ones.
+        const Task task = tasks_.back();
+        tasks_.pop_back();
+        runShard(lock, task);
+    }
 }
 
 void
@@ -115,46 +142,32 @@ SimEngine::forEachShard(std::uint64_t items, std::uint64_t shardSize,
     if (shards == 0)
         return;
 
-    ShardGroup group(shards);
-    auto runShard = [&body, &group](const ShardRange &range) {
-        if (!group.cancelled.load(std::memory_order_relaxed)) {
-            try {
-                body(range);
-            } catch (...) {
-                group.fail(std::current_exception());
-            }
-        }
-        group.finishOne();
-    };
-
+    ShardGroup group{&body, shards, nullptr};
+    std::unique_lock<std::mutex> lock(mutex_);
     // Queue every shard but the first; the calling thread takes shard
     // 0 immediately (with 1 thread this degenerates to a plain loop in
     // ascending shard order).
-    for (std::uint64_t s = 1; s < shards; ++s) {
-        ShardRange range{s * shardSize,
-                         std::min(items, (s + 1) * shardSize), s};
-        pool_.submit([runShard, range] { runShard(range); });
-    }
-    runShard({0, std::min(items, shardSize), 0});
+    for (std::uint64_t s = 1; s < shards; ++s)
+        tasks_.push_back({&group,
+                          {s * shardSize,
+                           std::min(items, (s + 1) * shardSize), s}});
+    if (shards > 1)
+        wake_.notify_all();
+    runShard(lock, {&group, {0, std::min(items, shardSize), 0}});
 
-    // Work while waiting: execute queued shards (ours or a nested
+    // Work while waiting: run the oldest queued shard (ours or another
     // call's) instead of blocking the executor.
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(group.mutex);
-            if (group.remaining == 0)
-                break;
-        }
-        if (!pool_.tryRunOneTask()) {
-            std::unique_lock<std::mutex> lock(group.mutex);
-            // Recheck under the lock; a worker may have finished the
-            // last shard between the queue probe and here.
-            if (group.remaining == 0)
-                break;
-            group.done.wait_for(lock,
-                                std::chrono::milliseconds(1));
-        }
+        wake_.wait(lock, [&] {
+            return group.remaining == 0 || !tasks_.empty();
+        });
+        if (group.remaining == 0)
+            break;
+        const Task task = tasks_.front();
+        tasks_.pop_front();
+        runShard(lock, task);
     }
+    lock.unlock();
 
     if (group.error)
         std::rethrow_exception(group.error);

@@ -6,7 +6,7 @@
  * The engine splits N independent items (Monte Carlo trials, (mix,
  * scenario) simulation jobs, scrub page ranges, the system
  * simulator's channel groups) into fixed-size shards and runs the
- * shards on a work-stealing thread pool.  Determinism is a design
+ * shards on its own worker threads.  Determinism is a design
  * invariant, not an accident:
  *
  *  - shard boundaries depend only on the item count and the shard
@@ -20,12 +20,14 @@
  * Together these make an N-worker run bit-identical to a 1-worker run
  * of the same configuration.  tests/test_engine.cc enforces this.
  *
- * The calling thread participates: while a sharded call is in flight
- * it executes queued shards itself, so a zero-worker engine is simply
- * a deterministic sequential loop and nested sharded calls cannot
- * deadlock the pool.  simulateMixBatch relies on this: each batched
- * job runs its own channel-sharded back-end nested on the same
- * engine.
+ * The executor is one task deque under one mutex and one condition
+ * variable.  Workers take the newest queued shard; a thread waiting
+ * in forEachShard takes the oldest, so the calling thread participates
+ * while its call is in flight.  A one-thread engine (no workers) is
+ * therefore a plain sequential loop in ascending shard order, and
+ * nested sharded calls cannot deadlock: simulateMixBatch runs each
+ * job's channel-sharded back-end nested on the same engine, and the
+ * daemon's request workers all call into one engine concurrently.
  *
  * docs/ARCHITECTURE.md documents the shard-reduce contract every
  * user of this engine honours.
@@ -34,13 +36,15 @@
 #ifndef ARCC_ENGINE_SIM_ENGINE_HH
 #define ARCC_ENGINE_SIM_ENGINE_HH
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "engine/thread_pool.hh"
 
 namespace arcc
 {
@@ -55,8 +59,8 @@ struct ShardRange
 };
 
 /**
- * The engine.  Cheap to construct around an existing pool; the
- * process-wide instance is SimEngine::global().
+ * The engine.  Construction spawns threads - 1 workers; destruction
+ * joins them.  The process-wide instance is SimEngine::global().
  */
 class SimEngine
 {
@@ -65,7 +69,7 @@ class SimEngine
     {
         /**
          * Total executor count including the calling thread: 1 runs
-         * everything inline, N uses N-1 pool workers plus the caller.
+         * everything inline, N uses N-1 workers plus the caller.
          * 0 picks the ARCC_THREADS environment variable, falling back
          * to the hardware thread count.
          */
@@ -75,6 +79,10 @@ class SimEngine
     /** Engine with default options (ARCC_THREADS / the hardware). */
     SimEngine();
     explicit SimEngine(const Options &options);
+    ~SimEngine();
+
+    SimEngine(const SimEngine &) = delete;
+    SimEngine &operator=(const SimEngine &) = delete;
 
     /**
      * The process-wide engine, sized from ARCC_THREADS / the hardware
@@ -83,8 +91,8 @@ class SimEngine
      */
     static SimEngine &global();
 
-    /** Executor count (pool workers + the calling thread). */
-    int threads() const { return pool_.workers() + 1; }
+    /** Executor count (workers + the calling thread). */
+    int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
     /**
      * Run body(shard) for every fixed-size shard of [0, items) and
@@ -99,16 +107,6 @@ class SimEngine
     void forEachShard(std::uint64_t items, std::uint64_t shardSize,
                       const std::function<void(const ShardRange &)>
                           &body) const;
-
-    /** One item per shard: body(i) for i in [0, items). */
-    void
-    forEachIndex(std::uint64_t items,
-                 const std::function<void(std::uint64_t)> &body) const
-    {
-        forEachShard(items, 1, [&](const ShardRange &r) {
-            body(r.begin);
-        });
-    }
 
     /**
      * The shard-reduce pattern every deterministic parallel kernel in
@@ -156,10 +154,31 @@ class SimEngine
      */
     static constexpr std::uint64_t kDefaultShard = 64;
 
-    ThreadPool &pool() { return pool_; }
-
   private:
-    mutable ThreadPool pool_;
+    /** Completion state of one forEachShard call (on its stack). */
+    struct ShardGroup;
+
+    /** One queued shard of one call. */
+    struct Task
+    {
+        ShardGroup *group;
+        ShardRange range;
+    };
+
+    void workerMain();
+
+    /** Run one shard with the lock released and record its completion;
+     *  the lock is held on entry and on return. */
+    void runShard(std::unique_lock<std::mutex> &lock,
+                  const Task &task) const;
+
+    mutable std::mutex mutex_;
+    /** Signalled when shards are queued, when a call's last shard
+     *  finishes, and on shutdown. */
+    mutable std::condition_variable wake_;
+    mutable std::deque<Task> tasks_;
+    bool stopping_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace arcc

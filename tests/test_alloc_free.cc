@@ -2,9 +2,8 @@
  * @file
  * Heap-allocation audits for the steady-state decode paths.
  *
- * The PR contract is that the ECC hot loops -- syndrome screens,
- * encodes, decodes, the scrub-style batch sweep, the VECC batch --
- * perform *zero* heap allocations once their workspaces are warm.
+ * The contract is that the ECC hot loops -- syndrome screens,
+ * encodes, decodes, the scrub-style batch sweep -- perform *zero* heap allocations once their workspaces are warm.
  * This binary replaces the global operator new/delete with counting
  * wrappers and measures allocation deltas across the hot regions.
  *
@@ -27,7 +26,6 @@
 
 #include "arcc/arcc_memory.hh"
 #include "arcc/scrubber.hh"
-#include "arcc/vecc.hh"
 #include "common/rng.hh"
 #include "cpu/trace.hh"
 #include "ecc/gf256_simd.hh"
@@ -276,38 +274,6 @@ TEST(AllocFree, ScrubStyleBatchSweepSteadyState)
     EXPECT_TRUE(ok);
     EXPECT_EQ(allocs, 0u)
         << "the batched sweep must be allocation-free in steady state";
-}
-
-TEST(AllocFree, VeccBatchSteadyState)
-{
-    VeccMemory mem(VeccGeometry::vecc18(), 32, 1.0, 3);
-    Rng rng(2);
-    std::vector<std::uint8_t> data(mem.lineBytes());
-    for (std::uint64_t l = 0; l < 32; ++l) {
-        for (auto &b : data)
-            b = static_cast<std::uint8_t>(rng.below(256));
-        mem.write(l, data);
-    }
-    // A dead device forces every line through the tier-2 pass, so
-    // both phases of the batch are exercised.
-    mem.killDevice(4);
-
-    std::vector<std::uint64_t> lines;
-    for (std::uint64_t l = 0; l < 32; ++l)
-        lines.push_back(l);
-    std::vector<VeccReadResult> results;
-
-    bool ok = true;
-    const std::uint64_t allocs = allocationsIn([&] {
-        mem.readBatch(lines, results);
-        for (const VeccReadResult &r : results)
-            ok = ok && r.status == DecodeStatus::Corrected &&
-                 r.tier2Fetched;
-    });
-
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(allocs, 0u)
-        << "the VECC batch must be allocation-free in steady state";
 }
 
 TEST(AllocFree, TraceStreamReplayIsChunkBoundedNotFileBound)

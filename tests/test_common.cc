@@ -45,21 +45,13 @@ TEST(Rng, BelowStaysBelow)
 TEST(Rng, UniformIsRoughlyUniform)
 {
     Rng rng(2);
-    Histogram h(0.0, 1.0, 10);
+    int counts[10] = {};
     const int n = 100000;
     for (int i = 0; i < n; ++i)
-        h.add(rng.uniform());
-    for (std::size_t b = 0; b < h.size(); ++b)
-        EXPECT_NEAR(h.fraction(b), 0.1, 0.01) << "bin " << b;
-}
-
-TEST(Rng, ExponentialHasTheRightMean)
-{
-    Rng rng(3);
-    RunningStat s;
-    for (int i = 0; i < 100000; ++i)
-        s.add(rng.exponential(0.25));
-    EXPECT_NEAR(s.mean(), 4.0, 0.1);
+        ++counts[static_cast<int>(rng.uniform() * 10)];
+    for (int b = 0; b < 10; ++b)
+        EXPECT_NEAR(static_cast<double>(counts[b]) / n, 0.1, 0.01)
+            << "bin " << b;
 }
 
 TEST(Rng, PoissonMeanAndSmallMeanBehaviour)
@@ -141,28 +133,6 @@ TEST(RunningStat, EmptyIsSane)
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, EdgesAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-100.0); // clamps to first bin.
-    h.add(100.0);  // clamps to last bin.
-    h.add(5.0);
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(4), 1u);
-    EXPECT_EQ(h.count(2), 1u);
-    EXPECT_DOUBLE_EQ(h.edge(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.edge(4), 8.0);
-}
-
-TEST(MeanHelpers, MeanAndGeomean)
-{
-    std::vector<double> v = {1.0, 2.0, 4.0};
-    EXPECT_NEAR(meanOf(v), 7.0 / 3.0, 1e-12);
-    EXPECT_NEAR(geomeanOf(v), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(meanOf({}), 0.0);
 }
 
 TEST(TextTable, FormatsNumbers)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the parallel simulation engine: splittable / jump-ahead
- * RNG streams, the work-stealing thread pool, deterministic sharding,
- * and bit-identical Monte Carlo results across thread counts.
+ * Tests for the parallel simulation engine: splittable RNG streams,
+ * deterministic sharding on the engine's own workers (nested and
+ * concurrent callers included), and bit-identical Monte Carlo results
+ * across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,7 +22,6 @@
 #include "cpu/system_sim.hh"
 #include "dram/dram_params.hh"
 #include "engine/sim_engine.hh"
-#include "engine/thread_pool.hh"
 #include "expect_error.hh"
 
 namespace arcc
@@ -73,85 +74,12 @@ TEST(RngStream, NeighbouringStreamsAreUncorrelated)
     EXPECT_EQ(seen.size(), 4u * draws);
 }
 
-TEST(RngJump, CommutesWithStepping)
-{
-    // The state transition and the jump are both linear maps over
-    // GF(2), so they commute: step^3(jump(s)) == jump(step^3(s)).
-    // This exercises every bit of the jump polynomial arithmetic.
-    Rng a(77), b(77);
-    a.next();
-    a.next();
-    a.next();
-    a.jump();
-    b.jump();
-    b.next();
-    b.next();
-    b.next();
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(a.next(), b.next());
-
-    Rng c(77), d(77);
-    c.next();
-    c.longJump();
-    d.longJump();
-    d.next();
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(c.next(), d.next());
-}
-
-TEST(RngJump, JumpAndLongJumpLandInDistinctRegions)
-{
-    Rng base(5), j(5), lj(5);
-    j.jump();
-    lj.longJump();
-    bool all_equal = true;
-    for (int i = 0; i < 64; ++i) {
-        std::uint64_t x = base.next(), y = j.next(), z = lj.next();
-        if (x != y || x != z || y != z)
-            all_equal = false;
-    }
-    EXPECT_FALSE(all_equal);
-}
-
-// --- thread pool -------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&] { ++count; });
-        // Destructor completes whatever is still queued.
-    }
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ZeroWorkerPoolRunsTasksInWaitLoops)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.workers(), 0);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] { ++count; });
-    EXPECT_EQ(count.load(), 0); // nothing runs until someone waits.
-    while (pool.tryRunOneTask()) {
-    }
-    EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, HardwareThreadsIsPositive)
-{
-    EXPECT_GE(ThreadPool::hardwareThreads(), 1);
-}
-
 // --- SimEngine sharding ------------------------------------------------
 
 TEST(SimEngine, ThreadCountsComeOut)
 {
     SimEngine one(SimEngine::Options{1});
     EXPECT_EQ(one.threads(), 1);
-    EXPECT_EQ(one.pool().workers(), 0);
     SimEngine eight(SimEngine::Options{8});
     EXPECT_EQ(eight.threads(), 8);
 }
@@ -210,7 +138,7 @@ TEST(SimEngine, ExceptionsPropagateAndEngineStaysUsable)
                             }),
         std::runtime_error);
 
-    // A failed sweep must not poison the pool.
+    // A failed sweep must not poison the engine.
     std::atomic<int> ran{0};
     engine.forEachShard(100, 8, [&](const ShardRange &) { ++ran; });
     EXPECT_EQ(ran.load(), 13); // ceil(100 / 8).
@@ -220,10 +148,70 @@ TEST(SimEngine, NestedShardedCallsDoNotDeadlock)
 {
     SimEngine engine(SimEngine::Options{2});
     std::atomic<int> inner{0};
-    engine.forEachIndex(4, [&](std::uint64_t) {
-        engine.forEachIndex(4, [&](std::uint64_t) { ++inner; });
+    engine.forEachShard(4, 1, [&](const ShardRange &) {
+        engine.forEachShard(4, 1, [&](const ShardRange &) { ++inner; });
     });
     EXPECT_EQ(inner.load(), 16);
+}
+
+TEST(SimEngine, OneThreadRunsEveryShardOnTheCaller)
+{
+    // A one-thread engine has no workers: every shard, nested ones
+    // included, runs on the thread that made the call.
+    SimEngine engine(SimEngine::Options{1});
+    std::vector<std::thread::id> ran;
+    engine.forEachShard(3, 1, [&](const ShardRange &) {
+        ran.push_back(std::this_thread::get_id());
+        engine.forEachShard(2, 1, [&](const ShardRange &) {
+            ran.push_back(std::this_thread::get_id());
+        });
+    });
+    ASSERT_EQ(ran.size(), 9u);
+    for (const std::thread::id &id : ran)
+        EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(SimEngine, ConcurrentOutsideCallersShareOneEngine)
+{
+    // The daemon's pattern: several threads the engine does not own
+    // call into it at once, each with nested sharded work.
+    auto nestedSum = [](const SimEngine &engine, std::uint64_t salt) {
+        return engine.reduceShards(
+            24, 4,
+            [&](const ShardRange &outer) {
+                return engine.reduceShards(
+                    outer.end - outer.begin, 1,
+                    [&](const ShardRange &r) {
+                        const std::uint64_t i = outer.begin + r.begin;
+                        return Rng::stream(salt, i).next() >> 8;
+                    },
+                    [](std::vector<std::uint64_t> &&v) {
+                        std::uint64_t h = 0;
+                        for (std::uint64_t x : v)
+                            h = h * 31 + x;
+                        return h;
+                    });
+            },
+            [](std::vector<std::uint64_t> &&v) {
+                std::uint64_t h = 0;
+                for (std::uint64_t x : v)
+                    h = h * 1000003 + x;
+                return h;
+            });
+    };
+
+    const SimEngine serial(SimEngine::Options{1});
+    const SimEngine shared(SimEngine::Options{2});
+    constexpr int kCallers = 4;
+    std::vector<std::uint64_t> got(kCallers);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c)
+        callers.emplace_back(
+            [&, c] { got[c] = nestedSum(shared, 100 + c); });
+    for (std::thread &t : callers)
+        t.join();
+    for (int c = 0; c < kCallers; ++c)
+        EXPECT_EQ(got[c], nestedSum(serial, 100 + c)) << "caller " << c;
 }
 
 // --- ARCC_THREADS validation -------------------------------------------

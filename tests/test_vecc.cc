@@ -191,47 +191,6 @@ TEST(Vecc, TwoDeadDevicesDetectedBy18Device)
     EXPECT_GT(dues, 8) << "three dead devices mostly flag DUEs";
 }
 
-TEST_P(VeccSweep, ReadBatchMatchesPerLineReads)
-{
-    // The batched tier-2 API must be indistinguishable from per-line
-    // reads: same data, statuses, access accounting and stats -- with
-    // and without a dead device forcing the tier-2 pass.
-    for (bool kill : {false, true}) {
-        VeccMemory a(geom(), 48, 0.5, 21);
-        VeccMemory b(geom(), 48, 0.5, 21);
-        Rng rng(9);
-        for (std::uint64_t l = 0; l < 48; ++l) {
-            auto data = randomData(rng, a.lineBytes());
-            a.write(l, data);
-            b.write(l, data);
-        }
-        if (kill) {
-            a.killDevice(1);
-            b.killDevice(1);
-        }
-
-        std::vector<std::uint64_t> lines;
-        for (std::uint64_t l = 0; l < 48; ++l)
-            lines.push_back((l * 7) % 48); // shuffled, with reuse
-        std::vector<VeccReadResult> batch;
-        a.readBatch(lines, batch);
-
-        ASSERT_EQ(batch.size(), lines.size());
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            VeccReadResult single = b.read(lines[i]);
-            EXPECT_EQ(batch[i].status, single.status) << i;
-            EXPECT_EQ(batch[i].tier2Fetched, single.tier2Fetched);
-            EXPECT_EQ(batch[i].deviceAccesses, single.deviceAccesses);
-            EXPECT_EQ(batch[i].data, single.data) << i;
-        }
-        EXPECT_EQ(a.stats().reads, b.stats().reads);
-        EXPECT_EQ(a.stats().deviceAccesses, b.stats().deviceAccesses);
-        EXPECT_EQ(a.stats().tier2Fetches, b.stats().tier2Fetches);
-        EXPECT_EQ(a.stats().corrected, b.stats().corrected);
-        EXPECT_EQ(a.stats().dues, b.stats().dues);
-    }
-}
-
 TEST(Vecc, NineDeviceGeometryHalvesTheFaultFreeCost)
 {
     VeccMemory v18(VeccGeometry::vecc18(), 32, 1.0);
