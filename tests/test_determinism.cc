@@ -662,5 +662,115 @@ TEST(MixBatchDeterminism, GlobalEngineMatchesSequentialReference)
     }
 }
 
+// --- the Figure 7 grid, pinned bit for bit -------------------------------
+
+/** Fold one value's 64 bits into a digest. */
+std::uint64_t
+foldBits(std::uint64_t h, std::uint64_t v)
+{
+    return Rng::mix64(h ^ v);
+}
+
+std::uint64_t
+foldBits(std::uint64_t h, double v)
+{
+    return foldBits(h, std::bit_cast<std::uint64_t>(v));
+}
+
+/** Every SimResult field, doubles by their bit patterns. */
+std::uint64_t
+simResultBits(std::uint64_t h, const SimResult &r)
+{
+    h = foldBits(h, r.ipcSum);
+    h = foldBits(h, r.elapsedNs);
+    h = foldBits(h, r.power.dynamicNj);
+    h = foldBits(h, r.power.backgroundNj);
+    h = foldBits(h, r.power.refreshNj);
+    h = foldBits(h, r.avgPowerMw);
+    h = foldBits(h, r.llcStats.hits);
+    h = foldBits(h, r.llcStats.misses);
+    h = foldBits(h, r.llcStats.evictions);
+    h = foldBits(h, r.llcStats.pairedFills);
+    h = foldBits(h, r.llcStats.pairedWritebacks);
+    h = foldBits(h, r.memReads);
+    h = foldBits(h, r.memWrites);
+    h = foldBits(h, r.scrubReads);
+    h = foldBits(h, r.scrubWrites);
+    h = foldBits(h, static_cast<std::uint64_t>(r.cores.size()));
+    for (const CoreResult &c : r.cores) {
+        for (char ch : c.benchmark)
+            h = foldBits(h, static_cast<std::uint64_t>(ch));
+        h = foldBits(h, c.instrs);
+        h = foldBits(h, c.ipc);
+        h = foldBits(h, c.llcAccesses);
+        h = foldBits(h, c.llcMisses);
+        h = foldBits(h, c.traceLaps);
+    }
+    return h;
+}
+
+/**
+ * A small Figure 7 grid: three mixes x the six sim_grid columns
+ * (baseline, ARCC clean, ARCC under each Table 7.4 fault), plus one
+ * job each on the paths the grid does not take -- the Base map's
+ * same-channel pairs under a Lane fault, the sectored LLC, and
+ * background scrubbing.
+ */
+std::vector<MixJob>
+gridJobs()
+{
+    using Scenario = PageUpgradeOracle::Scenario;
+    SystemConfig cfg;
+    cfg.instrsPerCore = 20000;
+    cfg.seed = 20130223;
+    const Scenario faults[] = {Scenario::Lane, Scenario::Device,
+                               Scenario::Bank, Scenario::Column};
+    std::vector<MixJob> jobs;
+    for (int m : {0, 6, 8}) {
+        const WorkloadMix &mix = table73Mixes()[m];
+        cfg.mem = baselineConfig();
+        jobs.push_back({mix, cfg, {}});
+        cfg.mem = arccConfig();
+        jobs.push_back({mix, cfg, {}});
+        for (Scenario s : faults)
+            jobs.push_back(
+                {mix, cfg, PageUpgradeOracle::forScenario(s, cfg.mem)});
+    }
+    cfg.mem = arccConfig();
+    const WorkloadMix &mix9 = table73Mixes()[8];
+    SystemConfig base = cfg;
+    base.mapPolicy = MapPolicy::Base;
+    jobs.push_back({mix9, base,
+                    PageUpgradeOracle::forScenario(Scenario::Lane,
+                                                   base.mem)});
+    SystemConfig sectored = cfg;
+    sectored.sectoredLlc = true;
+    jobs.push_back({mix9, sectored,
+                    PageUpgradeOracle::forScenario(Scenario::Device,
+                                                   sectored.mem)});
+    SystemConfig scrub = cfg;
+    scrub.backgroundScrub.enabled = true;
+    scrub.backgroundScrub.periodHours = 0.01;
+    jobs.push_back({mix9, scrub,
+                    PageUpgradeOracle::forScenario(Scenario::Device,
+                                                   scrub.mem)});
+    return jobs;
+}
+
+TEST(SimGridDeterminism, GoldenDigestOnTheGlobalEngine)
+{
+    // Every field of every result, doubles included, through the
+    // ARCC_THREADS-sized global engine: a change to the simulator
+    // that moves any output by one ulp fails here.  x86-64 without
+    // -march emits no FMA, so the doubles are the same under gcc and
+    // clang.
+    const std::vector<SimResult> results = simulateMixBatch(gridJobs());
+    ASSERT_EQ(results.size(), 21u);
+    std::uint64_t h = 0;
+    for (const SimResult &r : results)
+        h = simResultBits(h, r);
+    EXPECT_EQ(h, 0x6bbd6b1e1d9b0b1dULL);
+}
+
 } // namespace
 } // namespace arcc
