@@ -34,7 +34,10 @@ PairedTagLlc::PairedTagLlc(const CacheConfig &config)
     sets_ = config.sizeBytes /
             (static_cast<std::uint64_t>(config.assoc) * config.lineBytes);
     ARCC_ASSERT(sets_ > 1 && (sets_ & (sets_ - 1)) == 0);
-    lines_.assign(sets_ * config.assoc, Line{});
+    tags_.resize(sets_ * config.assoc);
+    lastUse_.resize(sets_ * config.assoc);
+    flags_.resize(sets_ * config.assoc);
+    flush();
 }
 
 std::uint64_t
@@ -43,91 +46,82 @@ PairedTagLlc::setOf(std::uint64_t line_addr) const
     return (line_addr / kLineBytes) & (sets_ - 1);
 }
 
-PairedTagLlc::Line *
-PairedTagLlc::find(std::uint64_t line_addr)
+std::size_t
+PairedTagLlc::find(std::uint64_t line_addr) const
 {
-    std::uint64_t set = setOf(line_addr);
-    Line *base = &lines_[set * config_.assoc];
-    for (int w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr)
-            return &base[w];
-    }
-    return nullptr;
+    const std::size_t base = setOf(line_addr) * config_.assoc;
+    for (int w = 0; w < config_.assoc; ++w)
+        if (tags_[base + w] == line_addr)
+            return base + w;
+    return kNoWay;
 }
 
-int
-PairedTagLlc::victimWay(std::uint64_t set) const
+PairedTagLlc::Probe
+PairedTagLlc::probe(std::uint64_t line_addr) const
 {
-    const Line *base = &lines_[set * config_.assoc];
-    int victim = 0;
-    std::uint64_t best = ~0ULL;
+    const std::size_t base = setOf(line_addr) * config_.assoc;
+    Probe p;
     for (int w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid)
-            return w;
-        // The recency of an upgraded line is kept synchronised with its
-        // sibling on every touch, so lastUse already reflects the most
-        // recently used sub-line (Section 4.2.3).
-        if (base[w].lastUse < best) {
-            best = base[w].lastUse;
-            victim = w;
+        if (tags_[base + w] == line_addr) {
+            p.hit = base + w;
+            return p;
         }
+        if (tags_[base + w] == kInvalid && p.victim == kNoWay)
+            p.victim = base + w;
     }
-    return victim;
+    if (p.victim != kNoWay)
+        return p;
+    // A full set: evict the first least-recently-used way.  The
+    // recency of an upgraded line is kept synchronised with its
+    // sibling on every touch, so lastUse already reflects the most
+    // recently used sub-line (Section 4.2.3).
+    p.victim = base;
+    for (int w = 1; w < config_.assoc; ++w)
+        if (lastUse_[base + w] < lastUse_[p.victim])
+            p.victim = base + w;
+    return p;
 }
 
 void
-PairedTagLlc::dropLine(std::uint64_t line_addr, LlcOutcome &out,
-                       bool emit_writeback)
+PairedTagLlc::dropSibling(std::uint64_t line_addr)
 {
-    Line *l = find(line_addr);
-    if (!l)
+    std::size_t way = find(line_addr);
+    if (way == kNoWay)
         return;
-    if (emit_writeback && l->dirty) {
-        Writeback wb;
-        wb.addr = l->upgraded ? (line_addr & ~(kUpgradedLineBytes - 1))
-                              : line_addr;
-        wb.paired = l->upgraded;
-        out.writebacks.push_back(wb);
-        if (l->upgraded)
-            ++stats_.pairedWritebacks;
-    }
-    l->valid = false;
+    tags_[way] = kInvalid;
     ++stats_.evictions;
 }
 
 void
-PairedTagLlc::fill(std::uint64_t line_addr, bool dirty, bool upgraded,
-                   LlcOutcome &out)
+PairedTagLlc::fill(std::size_t way, std::uint64_t line_addr, bool dirty,
+                   bool upgraded, LlcOutcome &out)
 {
-    std::uint64_t set = setOf(line_addr);
-    int way = victimWay(set);
-    Line &slot = lines_[set * config_.assoc + way];
-    if (slot.valid) {
+    if (tags_[way] != kInvalid) {
+        const std::uint64_t victim = tags_[way];
+        const bool victim_upgraded = flags_[way] & kUpgraded;
         out.replaced = true;
         ++stats_.evictions;
-        if (slot.dirty) {
+        if (flags_[way] & kDirty) {
             Writeback wb;
-            wb.addr = slot.upgraded
-                          ? (slot.lineAddr & ~(kUpgradedLineBytes - 1))
-                          : slot.lineAddr;
-            wb.paired = slot.upgraded;
+            wb.addr = victim_upgraded
+                          ? (victim & ~(kUpgradedLineBytes - 1))
+                          : victim;
+            wb.paired = victim_upgraded;
             out.writebacks.push_back(wb);
-            if (slot.upgraded)
+            if (victim_upgraded)
                 ++stats_.pairedWritebacks;
         }
-        if (slot.upgraded) {
+        if (victim_upgraded) {
             // Both sub-lines leave together; the sibling was already
             // covered by the paired writeback above.
-            std::uint64_t sib = pairSibling(slot.lineAddr);
-            slot.valid = false;
-            dropLine(sib, out, /*emit_writeback=*/false);
+            tags_[way] = kInvalid;
+            dropSibling(pairSibling(victim));
         }
     }
-    slot.valid = true;
-    slot.dirty = dirty;
-    slot.upgraded = upgraded;
-    slot.lineAddr = line_addr;
-    slot.lastUse = clock_;
+    tags_[way] = line_addr;
+    lastUse_[way] = clock_;
+    flags_[way] = static_cast<std::uint8_t>((dirty ? kDirty : 0) |
+                                            (upgraded ? kUpgraded : 0));
 }
 
 LlcOutcome
@@ -137,31 +131,33 @@ PairedTagLlc::access(std::uint64_t addr, bool is_write, bool upgraded)
     ++clock_;
     std::uint64_t line_addr = addr & ~(kLineBytes - 1);
 
-    Line *l = find(line_addr);
-    if (l) {
+    const Probe p = probe(line_addr);
+    if (p.hit != kNoWay) {
         out.hit = true;
         ++stats_.hits;
-        l->lastUse = clock_;
+        lastUse_[p.hit] = clock_;
         if (is_write)
-            l->dirty = true;
-        if (l->upgraded) {
+            flags_[p.hit] |= kDirty;
+        if (flags_[p.hit] & kUpgraded) {
             // Keep the sibling's recency in sync (coupled recency).
-            Line *sib = find(pairSibling(line_addr));
-            if (sib)
-                sib->lastUse = clock_;
+            std::size_t sib = find(pairSibling(line_addr));
+            if (sib != kNoWay)
+                lastUse_[sib] = clock_;
         }
         return out;
     }
 
     ++stats_.misses;
-    fill(line_addr, is_write, upgraded, out);
+    fill(p.victim, line_addr, is_write, upgraded, out);
     if (upgraded) {
-        // The 128B fetch brings the sibling too.
-        std::uint64_t sib = pairSibling(line_addr);
-        if (!find(sib))
-            fill(sib, /*dirty=*/false, /*upgraded=*/true, out);
+        // The 128B fetch brings the sibling too.  Probe its set only
+        // now: the fill above may have dragged a way of it out.
+        const Probe s = probe(pairSibling(line_addr));
+        if (s.hit == kNoWay)
+            fill(s.victim, pairSibling(line_addr), /*dirty=*/false,
+                 /*upgraded=*/true, out);
         else
-            find(sib)->upgraded = true;
+            flags_[s.hit] |= kUpgraded;
         ++stats_.pairedFills;
     }
     return out;
@@ -170,41 +166,29 @@ PairedTagLlc::access(std::uint64_t addr, bool is_write, bool upgraded)
 void
 PairedTagLlc::flush()
 {
-    for (auto &l : lines_)
-        l = Line{};
+    std::fill(tags_.begin(), tags_.end(), kInvalid);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    std::fill(flags_.begin(), flags_.end(), 0);
     clock_ = 0;
+    stats_ = LlcStats{};
 }
 
 bool
 PairedTagLlc::checkInvariants() const
 {
-    for (std::uint64_t set = 0; set < sets_; ++set) {
-        for (int w = 0; w < config_.assoc; ++w) {
-            const Line &l = lines_[set * config_.assoc + w];
-            if (!l.valid)
-                continue;
-            // Tag maps back to its set.
-            if (setOf(l.lineAddr) != set)
-                return false;
-            if (!l.upgraded)
-                continue;
-            // Upgraded invariant: the sibling is resident in the
-            // adjacent set, flagged, and recency-coupled.
-            std::uint64_t sib = l.lineAddr ^ kLineBytes;
-            std::uint64_t sset = setOf(sib);
-            bool found = false;
-            for (int v = 0; v < config_.assoc; ++v) {
-                const Line &cand = lines_[sset * config_.assoc + v];
-                if (cand.valid && cand.lineAddr == sib) {
-                    if (!cand.upgraded)
-                        return false;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                return false;
-        }
+    for (std::size_t way = 0; way < tags_.size(); ++way) {
+        if (tags_[way] == kInvalid)
+            continue;
+        // Tag maps back to its set.
+        if (setOf(tags_[way]) != way / config_.assoc)
+            return false;
+        if (!(flags_[way] & kUpgraded))
+            continue;
+        // Upgraded invariant: the sibling is resident in the adjacent
+        // set and flagged.
+        std::size_t sib = find(pairSibling(tags_[way]));
+        if (sib == kNoWay || !(flags_[sib] & kUpgraded))
+            return false;
     }
     return true;
 }
@@ -332,6 +316,7 @@ SectoredLlc::flush()
     for (auto &f : frames_)
         f = Frame{};
     clock_ = 0;
+    stats_ = LlcStats{};
 }
 
 bool

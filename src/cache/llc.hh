@@ -23,6 +23,7 @@
 #ifndef ARCC_CACHE_LLC_HH
 #define ARCC_CACHE_LLC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +42,8 @@ struct CacheConfig
     double hitLatencyNs = 3.4;
     /** Extra latency charged per replacement second tag access (ns). */
     double secondTagAccessNs = 1.0;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** A writeback the cache wants sent to memory. */
@@ -99,7 +102,8 @@ class BaseLlc
     const LlcStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
 
-    /** Invalidate everything (used between experiment phases). */
+    /** Invalidate everything and zero the statistics (used between
+     *  experiment phases and between simulator passes). */
     virtual void flush() = 0;
 
     /**
@@ -126,28 +130,40 @@ class PairedTagLlc : public BaseLlc
     bool checkInvariants() const override;
 
   private:
-    struct Line
+    /** Tag of an invalid way: line addresses have their low bits clear. */
+    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+    /** No way (a failed lookup). */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+    /** Per-way state bits. */
+    static constexpr std::uint8_t kDirty = 1;
+    static constexpr std::uint8_t kUpgraded = 2;
+
+    /** One scan of a set: the way holding the line (kNoWay on a
+     *  miss) and, on a miss, the way a fill would take. */
+    struct Probe
     {
-        bool valid = false;
-        bool dirty = false;
-        bool upgraded = false;
-        std::uint64_t lineAddr = 0;
-        std::uint64_t lastUse = 0;
+        std::size_t hit = kNoWay;
+        std::size_t victim = kNoWay;
     };
 
     std::uint64_t setOf(std::uint64_t line_addr) const;
-    Line *find(std::uint64_t line_addr);
-    /** Pick the LRU victim way in a set. */
-    int victimWay(std::uint64_t set) const;
-    /** Remove a specific line (for sibling drag-out); maybe writeback. */
-    void dropLine(std::uint64_t line_addr, LlcOutcome &out,
-                  bool emit_writeback);
-    /** Insert a line, evicting as needed. */
-    void fill(std::uint64_t line_addr, bool dirty, bool upgraded,
-              LlcOutcome &out);
+    /** @return the way holding line_addr, or kNoWay. */
+    std::size_t find(std::uint64_t line_addr) const;
+    /** Look line_addr up; on a miss pick the first invalid way of its
+     *  set, else the LRU way. */
+    Probe probe(std::uint64_t line_addr) const;
+    /** Remove a dragged-out sibling (its data left with the pair). */
+    void dropSibling(std::uint64_t line_addr);
+    /** Insert a line into `way`, evicting its occupant. */
+    void fill(std::size_t way, std::uint64_t line_addr, bool dirty,
+              bool upgraded, LlcOutcome &out);
 
     std::uint64_t sets_;
-    std::vector<Line> lines_; // sets_ x assoc
+    /** Dense per-way arrays, sets_ x assoc: the line address (or
+     *  kInvalid), the last-use clock and the state bits. */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> flags_;
     std::uint64_t clock_ = 0;
 };
 

@@ -29,11 +29,7 @@ class RunningStat
         mean_ += delta / static_cast<double>(n_);
         m2_ += delta * (x - mean_);
         min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
     }
-
-    /** @return number of samples accumulated. */
-    std::uint64_t count() const { return n_; }
 
     /** @return sample mean (0 when empty). */
     double mean() const { return n_ ? mean_ : 0.0; }
@@ -51,39 +47,11 @@ class RunningStat
     /** @return smallest sample seen (+inf when empty). */
     double min() const { return min_; }
 
-    /** @return largest sample seen (-inf when empty). */
-    double max() const { return max_; }
-
-    /** @return sum of all samples. */
-    double sum() const { return mean_ * static_cast<double>(n_); }
-
-    /** Merge another accumulator into this one. */
-    void
-    merge(const RunningStat &other)
-    {
-        if (other.n_ == 0)
-            return;
-        if (n_ == 0) {
-            *this = other;
-            return;
-        }
-        double total = static_cast<double>(n_ + other.n_);
-        double delta = other.mean_ - mean_;
-        double new_mean = mean_ + delta * other.n_ / total;
-        m2_ += other.m2_ +
-               delta * delta * n_ * other.n_ / total;
-        mean_ = new_mean;
-        n_ += other.n_;
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-
   private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
 };
 
 } // namespace arcc

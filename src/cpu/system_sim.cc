@@ -137,23 +137,50 @@ PageUpgradeOracle::scenarioByName(const std::string &fault)
 namespace
 {
 
-/** One recorded LLC access of one core (phase 1). */
+/**
+ * One recorded LLC access of one core (phase 1), with everything about
+ * it that no latency pass can change resolved once: the address
+ * reduced to the capacity, the upgrade verdict, the compute time
+ * before it, and the coordinates a demand miss reads.
+ */
 struct RecordedAccess
 {
     std::uint64_t addr = 0;
-    /** Full width: capping would desynchronise the recorded budget
-     *  from the front-end's replayed one. */
-    std::uint64_t instrGap = 0;
+    /** Compute time before the access at the core's base IPC (ns). */
+    double gapNs = 0.0;
+    /** Index of the miss's coordinates in Recording::coords: the
+     *  line, or the two sub-lines of its 128B pair when upgraded. */
+    std::uint32_t coord = 0;
     bool isWrite = false;
+    bool upgraded = false;
+};
+
+/** One core's recorded stream. */
+struct CoreTrace
+{
+    std::vector<RecordedAccess> accesses;
+    /** Instructions the stream covers (the budget or just past it).
+     *  Full width: capping would desynchronise the recorded budget
+     *  from the front-end's replayed one. */
+    std::uint64_t instrs = 0;
+};
+
+/** Everything phase 1 draws and resolves; read-only afterwards. */
+struct Recording
+{
+    std::vector<CoreTrace> cores;
+    /** Demand-miss coordinates, indexed by RecordedAccess::coord. */
+    std::vector<DramCoord> coords;
 };
 
 /** One memory request the front-end hands a channel shard. */
 struct ChannelRequest
 {
     double arrival = 0.0;
-    DramCoord a;
-    /** Second sub-line of a paired access (unused otherwise). */
-    DramCoord b;
+    /** Index of the coordinates (two back to back when paired): in
+     *  Recording::coords for a demand read, in
+     *  FrontendPass::writebackCoords for a write. */
+    std::uint32_t coord = 0;
     /** Completion slot index; slots are globally unique, so the shard
      *  that owns this request writes the slot without synchronising. */
     std::uint32_t slot = 0;
@@ -167,18 +194,44 @@ struct CoreLedger
     /** Compute time + hit latencies + replacement charges (ns): the
      *  part of the core's finish time that memory cannot change. */
     double fixedNs = 0.0;
-    std::uint64_t instrs = 0;
     std::uint64_t llcAccesses = 0;
     std::uint64_t llcMisses = 0;
     /** (completion slot, arrival ns) of every demand miss, in order. */
     std::vector<std::pair<std::uint32_t, double>> misses;
 };
 
-/** Everything one front-end pass produces. */
+/** Everything one front-end pass produces.  One instance serves
+ *  every pass of a run: each pass clears it, keeping the capacity. */
 struct FrontendPass
 {
+    FrontendPass(std::size_t groups, std::size_t cores)
+        : groupRequests(groups), cores(cores)
+    {
+    }
+
+    void
+    clear()
+    {
+        for (std::vector<ChannelRequest> &requests : groupRequests)
+            requests.clear();
+        writebackCoords.clear();
+        for (CoreLedger &ledger : cores) {
+            ledger.fixedNs = 0.0;
+            ledger.llcAccesses = 0;
+            ledger.llcMisses = 0;
+            ledger.misses.clear();
+        }
+        slots = 0;
+        estEndNs = 0.0;
+        memReads = 0;
+        memWrites = 0;
+    }
+
     /** Arrival-ordered request stream of each channel shard group. */
     std::vector<std::vector<ChannelRequest>> groupRequests;
+    /** Coordinates of this pass's writebacks: which lines the LLC
+     *  evicts depends on the pass's arrival order. */
+    std::vector<DramCoord> writebackCoords;
     std::vector<CoreLedger> cores;
     std::uint32_t slots = 0;
     /** Estimated end of the run (max estimated core finish, ns); the
@@ -278,82 +331,119 @@ struct ScrubCursor
 };
 
 /**
+ * Append the coordinates of the line at `addr`, or of both sub-lines
+ * of its 128B pair when `paired`.
+ * @return the index of the (first) appended coordinates.
+ */
+std::uint32_t
+appendCoords(std::vector<DramCoord> &coords, const AddressMap &map,
+             const ChannelShardPlan &plan, std::uint64_t addr,
+             bool paired)
+{
+    const auto idx = static_cast<std::uint32_t>(coords.size());
+    if (paired) {
+        std::uint64_t base = addr & ~(kUpgradedLineBytes - 1);
+        coords.push_back(map.decode(base));
+        coords.push_back(map.decode(base + kLineBytes));
+        ARCC_ASSERT(plan.groupOf(coords[idx].channel) ==
+                    plan.groupOf(coords[idx + 1].channel));
+    } else {
+        coords.push_back(map.decode(addr));
+    }
+    return idx;
+}
+
+/**
  * Record each core's access stream up to the instruction budget.  The
  * generators are pure per-core sequences (timing never feeds back),
- * so one recording serves every latency-feedback pass.
+ * so one recording serves every latency-feedback pass -- and so does
+ * everything derived from an access alone, which is resolved here.
  */
-std::vector<std::vector<RecordedAccess>>
+Recording
 recordTraces(std::vector<StreamSpec> &streams,
-             const SystemConfig &config)
+             const SystemConfig &config, const PageUpgradeOracle &oracle,
+             const AddressMap &map, const ChannelShardPlan &plan)
 {
-    std::vector<std::vector<RecordedAccess>> traces(streams.size());
+    const double cycle_ns = 1.0 / config.cpuGhz;
+    const std::uint64_t capacity = map.capacity();
+    Recording rec;
+    rec.cores.resize(streams.size());
     for (std::size_t i = 0; i < streams.size(); ++i) {
-        std::uint64_t instrs = 0;
+        CoreTrace &trace = rec.cores[i];
         do {
             CoreWorkload::Access a = streams[i].next();
-            traces[i].push_back({a.addr, a.instrGap, a.isWrite});
-            instrs += a.instrGap;
-        } while (instrs < config.instrsPerCore);
+            RecordedAccess r;
+            r.addr = a.addr % capacity;
+            r.gapNs = static_cast<double>(a.instrGap) /
+                      streams[i].baseIpc * cycle_ns;
+            r.isWrite = a.isWrite;
+            r.upgraded = oracle.upgraded(r.addr);
+            r.coord =
+                appendCoords(rec.coords, map, plan, r.addr, r.upgraded);
+            trace.accesses.push_back(r);
+            trace.instrs += a.instrGap;
+        } while (trace.instrs < config.instrsPerCore);
     }
-    return traces;
+    return rec;
+}
+
+/**
+ * The LLC the front-end runs on: one per thread, rebuilt only when a
+ * run asks for another design or geometry, and flushed by every pass.
+ * A front-end pass never yields to the engine, so no two passes use
+ * it at once; a job waiting on its channel shards (the engine may
+ * stack dozens of them on one thread) holds no LLC of its own.
+ */
+BaseLlc &
+threadLlc(const SystemConfig &config)
+{
+    static thread_local std::unique_ptr<BaseLlc> llc;
+    static thread_local bool sectored = false;
+    if (!llc || sectored != config.sectoredLlc ||
+        !(llc->config() == config.llc)) {
+        if (config.sectoredLlc)
+            llc = std::make_unique<SectoredLlc>(config.llc);
+        else
+            llc = std::make_unique<PairedTagLlc>(config.llc);
+        sectored = config.sectoredLlc;
+    }
+    return *llc;
 }
 
 /**
  * One front-end pass: the core + LLC event loop with per-core
- * estimated miss latencies, emitting the channel request streams.
+ * estimated miss latencies, emitting the channel request streams into
+ * `fe` (cleared first).
  */
-FrontendPass
-runFrontend(const std::vector<std::vector<RecordedAccess>> &traces,
-            const std::vector<StreamSpec> &specs,
-            const SystemConfig &config, const PageUpgradeOracle &oracle,
+void
+runFrontend(const Recording &rec, const SystemConfig &config,
             const AddressMap &map, const ChannelShardPlan &plan,
-            const std::vector<double> &estLatencyNs)
+            const std::vector<double> &estLatencyNs, FrontendPass &fe)
 {
-    const double cycle_ns = 1.0 / config.cpuGhz;
-    const std::uint64_t capacity = map.capacity();
-    const int n = static_cast<int>(traces.size());
+    const int n = static_cast<int>(rec.cores.size());
+    fe.clear();
+    BaseLlc &llc = threadLlc(config);
+    llc.flush();
 
-    FrontendPass fe;
-    fe.groupRequests.resize(plan.groups());
-    fe.cores.resize(n);
-
-    std::unique_ptr<BaseLlc> llc;
-    if (config.sectoredLlc)
-        llc = std::make_unique<SectoredLlc>(config.llc);
-    else
-        llc = std::make_unique<PairedTagLlc>(config.llc);
-
-    auto emit = [&](double now, std::uint64_t addr, bool is_write,
-                    bool paired) {
-        ChannelRequest rq;
-        rq.arrival = now;
-        rq.isWrite = is_write;
-        rq.paired = paired;
-        if (paired) {
-            std::uint64_t base = addr & ~(kUpgradedLineBytes - 1);
-            rq.a = map.decode(base);
-            rq.b = map.decode(base + kLineBytes);
-            ARCC_ASSERT(plan.groupOf(rq.a.channel) ==
-                        plan.groupOf(rq.b.channel));
-        } else {
-            rq.a = map.decode(addr);
-        }
+    auto emit = [&](ChannelRequest rq, const DramCoord &coord) {
         rq.slot = fe.slots++;
-        fe.groupRequests[plan.groupOf(rq.a.channel)].push_back(rq);
+        fe.groupRequests[plan.groupOf(coord.channel)].push_back(rq);
         return rq.slot;
     };
 
     struct CoreState
     {
         double readyAt = 0.0;
+        /** Estimated stall of one miss (ns). */
+        double stallNs = 0.0;
         std::size_t idx = 0;
         bool done = false;
     };
     std::vector<CoreState> cores(n);
     for (int i = 0; i < n; ++i) {
-        cores[i].readyAt =
-            static_cast<double>(traces[i][0].instrGap) /
-            specs[i].baseIpc * cycle_ns;
+        cores[i].readyAt = rec.cores[i].accesses[0].gapNs;
+        cores[i].stallNs =
+            estLatencyNs[i] * (1.0 - config.stallOverlap);
         fe.cores[i].fixedNs = cores[i].readyAt;
     }
 
@@ -373,12 +463,11 @@ runFrontend(const std::vector<std::vector<RecordedAccess>> &traces,
         }
         CoreState &core = cores[ci];
         CoreLedger &ledger = fe.cores[ci];
-        const RecordedAccess &acc = traces[ci][core.idx];
+        const std::vector<RecordedAccess> &trace = rec.cores[ci].accesses;
+        const RecordedAccess &acc = trace[core.idx];
         double now = core.readyAt;
 
-        std::uint64_t addr = acc.addr % capacity;
-        bool upgraded = oracle.upgraded(addr);
-        LlcOutcome out = llc->access(addr, acc.isWrite, upgraded);
+        LlcOutcome out = llc.access(acc.addr, acc.isWrite, acc.upgraded);
 
         ++ledger.llcAccesses;
         ledger.fixedNs += config.llc.hitLatencyNs;
@@ -387,47 +476,50 @@ runFrontend(const std::vector<std::vector<RecordedAccess>> &traces,
             ++ledger.llcMisses;
             // Dirty evictions go to memory without stalling the core.
             for (const Writeback &wb : out.writebacks) {
-                emit(now, wb.addr % capacity, /*is_write=*/true,
-                     wb.paired);
+                ChannelRequest rq;
+                rq.arrival = now;
+                rq.coord = appendCoords(fe.writebackCoords, map, plan,
+                                        wb.addr, wb.paired);
+                rq.isWrite = true;
+                rq.paired = wb.paired;
+                emit(rq, fe.writebackCoords[rq.coord]);
                 ++fe.memWrites;
                 if (wb.paired)
                     ++fe.memWrites; // both sub-lines hit the bus.
             }
-            std::uint32_t slot =
-                emit(now, addr, /*is_write=*/false, upgraded);
+            ChannelRequest rq;
+            rq.arrival = now;
+            rq.coord = acc.coord;
+            rq.paired = acc.upgraded;
+            std::uint32_t slot = emit(rq, rec.coords[acc.coord]);
             ++fe.memReads;
-            if (upgraded)
+            if (acc.upgraded)
                 ++fe.memReads;
             ledger.misses.emplace_back(slot, now);
             // Estimated stall; the merge replaces it with the stall
             // the shard replay actually measures.
-            done_at +=
-                estLatencyNs[ci] * (1.0 - config.stallOverlap);
+            done_at += core.stallNs;
         }
         if (out.replaced) {
             done_at += config.llc.secondTagAccessNs;
             ledger.fixedNs += config.llc.secondTagAccessNs;
         }
 
-        ledger.instrs += acc.instrGap;
         fe.estEndNs = std::max(fe.estEndNs, done_at);
 
-        if (ledger.instrs >= config.instrsPerCore) {
+        // The recording stops at the access that retires the budget.
+        if (++core.idx == trace.size()) {
             core.done = true;
             --active;
             continue;
         }
 
-        ++core.idx;
-        const RecordedAccess &next = traces[ci][core.idx];
-        double gap_ns = static_cast<double>(next.instrGap) /
-                        specs[ci].baseIpc * cycle_ns;
+        const double gap_ns = trace[core.idx].gapNs;
         core.readyAt = done_at + gap_ns;
         ledger.fixedNs += gap_ns;
     }
 
-    fe.llcStats = llc->stats();
-    return fe;
+    fe.llcStats = llc.stats();
 }
 
 /**
@@ -438,8 +530,8 @@ runFrontend(const std::vector<std::vector<RecordedAccess>> &traces,
 ShardPartial
 replayShard(const SystemConfig &config, const AddressMap &map,
             const ChannelShardPlan &plan, std::size_t group,
-            const std::vector<ChannelRequest> &requests,
-            double est_end_ns, std::vector<double> &completions)
+            const Recording &rec, const FrontendPass &fe,
+            std::vector<double> &completions)
 {
     ShardPartial partial;
     partial.set = std::make_unique<ChannelSet>(config.mem, config.ctrl,
@@ -477,19 +569,22 @@ replayShard(const SystemConfig &config, const AddressMap &map,
         return due;
     };
 
-    for (const ChannelRequest &rq : requests) {
+    for (const ChannelRequest &rq : fe.groupRequests[group]) {
         if (scrub_on)
             while (ScrubCursor *cur = dueCursor(rq.arrival))
                 step(*cur);
+        const DramCoord *c =
+            (rq.isWrite ? fe.writebackCoords : rec.coords).data() +
+            rq.coord;
         completions[rq.slot] =
-            rq.paired
-                ? set.accessPaired(rq.arrival, rq.a, rq.b, rq.isWrite)
-                : set.access(rq.arrival, rq.a, rq.isWrite);
+            rq.paired ? set.accessPaired(rq.arrival, c[0], c[1],
+                                         rq.isWrite)
+                      : set.access(rq.arrival, c[0], rq.isWrite);
     }
     // Keep scrubbing through the rest of the run window: the traffic
     // is gone but the power (and the sweep cadence) is not.
     if (scrub_on)
-        while (ScrubCursor *cur = dueCursor(est_end_ns))
+        while (ScrubCursor *cur = dueCursor(fe.estEndNs))
             step(*cur);
 
     return partial;
@@ -520,8 +615,8 @@ simulateStreams(std::vector<StreamSpec> streams,
     ChannelShardPlan plan(map, oracle.mayUpgrade());
 
     // Phase 1: draw every core's access stream once.
-    std::vector<std::vector<RecordedAccess>> traces =
-        recordTraces(streams, config);
+    const Recording rec =
+        recordTraces(streams, config, oracle, map, plan);
 
     std::vector<double> est_latency(
         streams.size(), config.mem.device.unloadedReadLatencyNs());
@@ -536,13 +631,12 @@ simulateStreams(std::vector<StreamSpec> streams,
     // values, so the pass count never depends on the thread count.
     const int passes = std::max(1, config.latencyPasses);
     constexpr double kLatencyTolerance = 0.05;
-    FrontendPass fe;
+    FrontendPass fe(plan.groups(), streams.size());
     std::vector<double> completions;
     std::vector<ShardPartial> partials;
     for (int pass = 0; pass < passes; ++pass) {
         // Phase 2: the serial core + LLC loop.
-        fe = runFrontend(traces, streams, config, oracle, map, plan,
-                         est_latency);
+        runFrontend(rec, config, map, plan, est_latency, fe);
         completions.assign(fe.slots, 0.0);
 
         // Phase 3: one shard per channel group, bit-identical at any
@@ -551,9 +645,8 @@ simulateStreams(std::vector<StreamSpec> streams,
         partials = engine->reduceShards(
             plan.groups(), 1,
             [&](const ShardRange &shard) {
-                return replayShard(config, map, plan, shard.begin,
-                                   fe.groupRequests[shard.begin],
-                                   fe.estEndNs, completions);
+                return replayShard(config, map, plan, shard.begin, rec,
+                                   fe, completions);
             },
             [](std::vector<ShardPartial> &&p) { return std::move(p); });
 
@@ -594,8 +687,8 @@ simulateStreams(std::vector<StreamSpec> streams,
         // The recording phase drew the whole stream, so a trace's lap
         // counter is final by now.
         core.traceLaps = streams[i].laps ? streams[i].laps() : 0;
-        core.instrs = ledger.instrs;
-        core.ipc = static_cast<double>(ledger.instrs) /
+        core.instrs = rec.cores[i].instrs;
+        core.ipc = static_cast<double>(core.instrs) /
                    (finish / cycle_ns);
         core.llcAccesses = ledger.llcAccesses;
         core.llcMisses = ledger.llcMisses;

@@ -20,11 +20,17 @@
  *  1. **Record** -- each core's LLC access stream is drawn once from
  *     its StreamSpec generator.  The streams are pure per-core
  *     sequences (timing never feeds back into them), which is what
- *     makes the phases separable.
+ *     makes the phases separable.  Everything that depends on an
+ *     access alone is resolved here, once per run: the address
+ *     reduced to the capacity, the upgrade oracle's verdict, the
+ *     DRAM coordinates a miss reads, and the compute time before it.
  *  2. **Front-end (serial)** -- the core + LLC event loop runs with a
  *     per-core *estimated* memory latency and emits each miss /
  *     writeback / eviction as a timestamped request into the stream
- *     of the channel group that owns its DRAM coordinates.
+ *     of the channel group that owns its DRAM coordinates.  Only the
+ *     writebacks, whose victims depend on the pass, are decoded
+ *     here.  Every pass reuses the run's request buffers and the
+ *     thread's LLC (flushed), instead of allocating them anew.
  *  3. **Back-end (sharded)** -- each shard owns one ChannelShardPlan
  *     group (a disjoint set of channels; paired 128B sub-lines always
  *     land in one group) and replays its request stream through a

@@ -124,14 +124,14 @@ ChannelShardPlan::ChannelShardPlan(const AddressMap &map, bool pairable)
 
     if (pairable) {
         // Probe the map directly: union the channels of the two
-        // sub-lines of each 128B pair.  All three policies derive the
-        // channel from low line-index bits, so a small prefix of the
-        // address space visits every (pair -> channel) relation; the
-        // probe is still capped by capacity for tiny configurations.
-        std::uint64_t pairs =
-            std::min<std::uint64_t>(map.capacity() /
-                                        kUpgradedLineBytes,
-                                    4096);
+        // sub-lines of each 128B pair.  Every policy takes the channel
+        // from the line index modulo channels x linesPerRow, so that
+        // many pairs (two periods of lines) visit every (pair ->
+        // channel) relation; the probe is still capped by capacity
+        // for tiny configurations.
+        std::uint64_t pairs = std::min<std::uint64_t>(
+            map.capacity() / kUpgradedLineBytes,
+            static_cast<std::uint64_t>(n) * map.linesPerRow());
         for (std::uint64_t p = 0; p < pairs; ++p) {
             std::uint64_t base = p * kUpgradedLineBytes;
             int a = map.decode(base).channel;

@@ -99,11 +99,12 @@ class ChannelSet
  * Deterministic partition of the channel ids into shard groups.
  *
  * Two channels share a group iff a paired access can span them, which
- * is probed directly from the AddressMap: for every 128B-aligned pair
- * the channels of the two sub-lines are unioned.  Under the
- * interleaved maps (HiPerf, ClosePage) this yields {2k, 2k+1} pairs;
- * under the Base map sub-lines share a channel and every group is a
- * singleton.  When `pairable` is false (the upgrade oracle can never
+ * is probed directly from the AddressMap: for each of the first
+ * channels x linesPerRow 128B-aligned pairs (two periods of every
+ * policy's channel interleave) the channels of the two sub-lines are
+ * unioned.  Under the interleaved maps (HiPerf, ClosePage) this
+ * yields {2k, 2k+1} pairs; under the Base map sub-lines share a
+ * channel and every group is a singleton.  When `pairable` is false (the upgrade oracle can never
  * upgrade a page, so no paired traffic exists) the plan skips the
  * union and shards per channel.
  *

@@ -20,32 +20,43 @@ MemChannel::MemChannel(const MemoryConfig &config,
       dev_(config.device),
       banks_(config.device.banks),
       ranks_(config.ranksPerChannel),
+      tRcd_(dev_.tRCD * dev_.tCK),
+      tCl_(dev_.clCycles * dev_.tCK),
+      tCwl_((dev_.clCycles - 1) * dev_.tCK), // DDR2: CWL = CL-1
+      tBurst_(dev_.burstCycles() * dev_.tCK),
+      tRc_(dev_.tRC * dev_.tCK),
+      tRrd_(dev_.tRRD * dev_.tCK),
+      tWr_(dev_.tWR * dev_.tCK),
+      tRp_(dev_.tRP * dev_.tCK),
+      tWtr_(dev_.tWTR * dev_.tCK),
+      readEnergy_(dev_.actPreEnergy() + dev_.readBurstEnergy()),
+      writeEnergy_(dev_.actPreEnergy() + dev_.writeBurstEnergy()),
       bankFree_(static_cast<std::size_t>(banks_) * ranks_, 0.0),
       rankActReady_(ranks_, 0.0),
       rankState_(ranks_)
 {
+    if (ctrl.queueDepth < 1)
+        fatal("MemChannel: queueDepth must be >= 1, got %d",
+              ctrl.queueDepth);
+    outstanding_.assign(static_cast<std::size_t>(ctrl.queueDepth), 0.0);
 }
 
 double
 MemChannel::admissionTime(double arrival) const
 {
-    std::size_t depth = static_cast<std::size_t>(ctrl_.queueDepth);
-    if (outstanding_.size() < depth)
+    if (accesses_ < outstanding_.size())
         return arrival;
-    // The request must wait until enough older requests drain that a
-    // queue slot frees up.
-    double frees = outstanding_[outstanding_.size() - depth];
+    // A full queue: the request waits until the one committed
+    // queueDepth commits earlier drains and frees its slot.  That
+    // completion sits in the ring slot this commit will overwrite.
+    double frees = outstanding_[accesses_ % outstanding_.size()];
     return std::max(arrival, frees);
 }
 
 void
 MemChannel::noteOutstanding(double completion)
 {
-    outstanding_.push_back(completion);
-    // Bound memory: drop entries that can no longer matter.
-    std::size_t depth = static_cast<std::size_t>(ctrl_.queueDepth);
-    while (outstanding_.size() > 4 * depth)
-        outstanding_.pop_front();
+    outstanding_[accesses_ % outstanding_.size()] = completion;
 }
 
 double
@@ -87,39 +98,28 @@ MemResponse
 MemChannel::commit(double issue, const DramCoord &coord, bool is_write,
                    int devicesTouched)
 {
-    const double tck = dev_.tCK;
-    const double t_rcd = dev_.tRCD * tck;
-    const double t_cl = dev_.clCycles * tck;
-    const double t_cwl = (dev_.clCycles - 1) * tck; // DDR2: CWL = CL-1
-    const double t_burst = dev_.burstCycles() * tck;
-    const double t_rc = dev_.tRC * tck;
-    const double t_rrd = dev_.tRRD * tck;
-    const double t_wr = dev_.tWR * tck;
-    const double t_rp = dev_.tRP * tck;
-    const double t_wtr = dev_.tWTR * tck;
-
-    const double cas_offset = t_rcd + (is_write ? t_cwl : t_cl);
+    const double cas_offset = tRcd_ + (is_write ? tCwl_ : tCl_);
 
     // Bus constraint, plus turnaround when the direction flips.
     double bus_ready = busFree_;
     if (accesses_ > 0 && lastWasWrite_ != is_write)
-        bus_ready += t_wtr;
+        bus_ready += tWtr_;
     double data_start = std::max(issue + cas_offset, bus_ready);
     // If the bus forced a delay, hold the ACT back so the row is not
     // sitting open longer than needed (closed-page controllers chain
     // ACT->CAS->PRE back to back).
     double eff_issue = data_start - cas_offset;
-    double completion = data_start + t_burst;
+    double completion = data_start + tBurst_;
 
     const std::size_t bank_idx =
         static_cast<std::size_t>(coord.rank) * banks_ + coord.bank;
-    double bank_busy_until = eff_issue + t_rc;
+    double bank_busy_until = eff_issue + tRc_;
     if (is_write) {
         bank_busy_until =
-            std::max(bank_busy_until, completion + t_wr + t_rp);
+            std::max(bank_busy_until, completion + tWr_ + tRp_);
     }
     bankFree_[bank_idx] = bank_busy_until;
-    rankActReady_[coord.rank] = eff_issue + t_rrd;
+    rankActReady_[coord.rank] = eff_issue + tRrd_;
     lastIssue_ = std::max(lastIssue_, eff_issue);
     busFree_ = completion;
     lastWasWrite_ = is_write;
@@ -128,10 +128,8 @@ MemChannel::commit(double issue, const DramCoord &coord, bool is_write,
     // cycles; all devices of the rank pay background, only the accessed
     // devices pay ACT/PRE + burst energy.
     accountActivity(rankState_[coord.rank], eff_issue, bank_busy_until);
-    double e_dyn = dev_.actPreEnergy() +
-                   (is_write ? dev_.writeBurstEnergy()
-                             : dev_.readBurstEnergy());
-    power_.dynamicNj += e_dyn * devicesTouched;
+    power_.dynamicNj +=
+        (is_write ? writeEnergy_ : readEnergy_) * devicesTouched;
 
     noteOutstanding(completion);
     ++accesses_;

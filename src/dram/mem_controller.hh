@@ -32,7 +32,6 @@
 #define ARCC_DRAM_MEM_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -51,7 +50,7 @@ enum class PairingPolicy
 /** Controller knobs. */
 struct ControllerConfig
 {
-    /** Per-channel request queue capacity. */
+    /** Per-channel request queue capacity (>= 1). */
     int queueDepth = 32;
     /** Enter precharge power-down after this much rank idle time (ns). */
     double powerDownThresholdNs = 100.0;
@@ -92,6 +91,7 @@ struct PowerBreakdown
 class MemChannel
 {
   public:
+    /** fatal() when ctrl.queueDepth < 1. */
     MemChannel(const MemoryConfig &config, const ControllerConfig &ctrl);
 
     /**
@@ -124,13 +124,13 @@ class MemChannel
     /** Number of accesses committed. */
     std::uint64_t accesses() const { return accesses_; }
 
+  private:
     /** Arrival adjusted for queue backpressure. */
     double admissionTime(double arrival) const;
 
     /** Record an admitted request for queue occupancy tracking. */
     void noteOutstanding(double completion);
 
-  private:
     struct RankState
     {
         /** End of the merged "some bank active" window. */
@@ -155,6 +155,20 @@ class MemChannel
     int banks_;
     int ranks_;
 
+    /** Timing constants (ns), fixed by the device at construction. */
+    double tRcd_;
+    double tCl_;
+    double tCwl_;
+    double tBurst_;
+    double tRc_;
+    double tRrd_;
+    double tWr_;
+    double tRp_;
+    double tWtr_;
+    /** Per-device ACT/PRE + burst energy of a read / a write (nJ). */
+    double readEnergy_;
+    double writeEnergy_;
+
     /** bankFree_[rank * banks_ + bank]: earliest next ACT. */
     std::vector<double> bankFree_;
     /** Per-rank earliest next ACT honouring tRRD. */
@@ -166,8 +180,9 @@ class MemChannel
     /** Youngest committed ACT time (for FIFO-partition pairing). */
     double lastIssue_ = 0.0;
 
-    /** Outstanding completions for queue backpressure. */
-    std::deque<double> outstanding_;
+    /** Completions of the last queueDepth commits, a ring indexed by
+     *  commit number modulo the depth (queue backpressure). */
+    std::vector<double> outstanding_;
 
     PowerBreakdown power_;
     std::uint64_t accesses_ = 0;

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "dram/address_map.hh"
+#include "dram/channel_shard.hh"
+#include "dram/dram_params.hh"
 
 namespace arcc
 {
@@ -215,6 +220,69 @@ TEST(AddressMap, CapacityMatchesConfig)
     // Both Table 7.1 configs are 4 GB of data.
     EXPECT_EQ(baselineConfig().dataBytes(), 4 * kGiB);
     EXPECT_EQ(arccConfig().dataBytes(), 4 * kGiB);
+}
+
+/**
+ * The pairable shard groups as ChannelShardPlan found them before its
+ * probe was bounded: the channels of both sub-lines of the first 4096
+ * 128B pairs (or every pair of a smaller memory) unioned, groups
+ * listed by their lowest channel id.
+ */
+std::vector<std::vector<int>>
+fullProbeGroups(const AddressMap &map)
+{
+    std::vector<int> parent(map.channels());
+    std::iota(parent.begin(), parent.end(), 0);
+    auto find = [&](int c) {
+        while (parent[c] != c)
+            c = parent[c];
+        return c;
+    };
+    std::uint64_t pairs = std::min<std::uint64_t>(
+        map.capacity() / kUpgradedLineBytes, 4096);
+    for (std::uint64_t p = 0; p < pairs; ++p) {
+        int a = find(map.decode(p * kUpgradedLineBytes).channel);
+        int b = find(
+            map.decode(p * kUpgradedLineBytes + kLineBytes).channel);
+        if (a != b)
+            parent[std::max(a, b)] = std::min(a, b);
+    }
+    std::vector<std::vector<int>> groups;
+    std::vector<int> groupOfRoot(map.channels(), -1);
+    for (int c = 0; c < map.channels(); ++c) {
+        int root = find(c);
+        if (groupOfRoot[root] < 0) {
+            groupOfRoot[root] = static_cast<int>(groups.size());
+            groups.emplace_back();
+        }
+        groups[groupOfRoot[root]].push_back(c);
+    }
+    return groups;
+}
+
+TEST(ChannelShardPlan, BoundedProbeFindsTheFullProbesGroups)
+{
+    // The plan probes channels x linesPerRow pairs: every policy's
+    // channel field repeats within that many lines.
+    for (const char *name : {"baseline", "arcc", "arcc4", "arcc8"}) {
+        for (MapPolicy policy :
+             {MapPolicy::HiPerf, MapPolicy::ClosePage, MapPolicy::Base}) {
+            for (int channels : {2, 4, 8}) {
+                SCOPED_TRACE(std::string(name) + "/" +
+                             policyName(policy) + "/" +
+                             std::to_string(channels) + "ch");
+                const AddressMap map(
+                    withChannels(memoryConfigByName(name), channels),
+                    policy);
+                const ChannelShardPlan plan(map, /*pairable=*/true);
+                const std::vector<std::vector<int>> oracle =
+                    fullProbeGroups(map);
+                ASSERT_EQ(plan.groups(), oracle.size());
+                for (std::size_t g = 0; g < oracle.size(); ++g)
+                    EXPECT_EQ(plan.group(g), oracle[g]);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -142,6 +142,41 @@ TEST(MemChannel, QueueBackpressureDelaysAdmission)
     EXPECT_GT(last, 15 * cfg.device.tRC * cfg.device.tCK - 1e-9);
 }
 
+TEST(MemChannel, QueueDepthBelowOneIsFatal)
+{
+    // The queue is a ring of queueDepth completions: depth 0 would
+    // index an empty ring, and a negative depth once cast to a size
+    // switched admission control off without a word.
+    MemoryConfig cfg = arccConfig();
+    for (int depth : {0, -1, -32}) {
+        SCOPED_TRACE("queueDepth=" + std::to_string(depth));
+        ControllerConfig ctrl;
+        ctrl.queueDepth = depth;
+        EXPECT_ARCC_ERROR(MemChannel channel(cfg, ctrl),
+                          "queueDepth must be >= 1");
+        EXPECT_ARCC_ERROR(ChannelSet set(cfg, ctrl, {0}),
+                          "queueDepth must be >= 1");
+    }
+}
+
+TEST(MemChannel, DepthOneQueueAdmitsOneRequestAtATime)
+{
+    // At depth 1 each request waits for the previous one's data, so
+    // even requests to different banks cannot overlap.
+    MemoryConfig cfg = arccConfig();
+    ControllerConfig ctrl;
+    ctrl.queueDepth = 1;
+    MemChannel ch(cfg, ctrl);
+    DramCoord coord{};
+    double prev = 0.0;
+    for (int i = 0; i < 8; ++i) {
+        coord.bank = i % cfg.device.banks;
+        MemResponse r = ch.schedule(0.0, coord, false, 18);
+        EXPECT_GE(r.issueTime, prev);
+        prev = r.completion;
+    }
+}
+
 // --- the back end as the simulator drives it ------------------------------
 //
 // The system simulator decodes each address through an AddressMap and

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cache/llc.hh"
 #include "common/rng.hh"
@@ -98,10 +100,43 @@ TEST_P(LlcBothDesigns, CleanEvictionsProduceNoWriteback)
 
 TEST_P(LlcBothDesigns, FlushEmptiesTheCache)
 {
-    auto llc = make(smallCache());
-    llc->access(0x4000, false, false);
+    // Dirty lines, upgraded pairs and conflict evictions in one set:
+    // every counter moves.  A flushed cache must then replay the same
+    // sequence exactly like a fresh one -- the system simulator
+    // flushes one LLC between latency passes instead of rebuilding it.
+    const CacheConfig cfg = smallCache();
+    auto replay = [&](BaseLlc &llc) {
+        std::vector<bool> hits;
+        std::uint64_t writebacks = 0;
+        for (int i = 0; i < 40; ++i) {
+            std::uint64_t addr = (i % 20) * cfg.sizeBytes;
+            LlcOutcome out = llc.access(addr, i % 3 == 0, i % 4 == 0);
+            hits.push_back(out.hit);
+            writebacks += out.writebacks.size();
+        }
+        return std::make_pair(hits, writebacks);
+    };
+    auto fresh = make(cfg);
+    const auto expected = replay(*fresh);
+
+    auto llc = make(cfg);
+    replay(*llc);
+    ASSERT_GT(llc->stats().evictions, 0u);
+    ASSERT_GT(llc->stats().pairedFills, 0u);
+    ASSERT_GT(llc->stats().pairedWritebacks, 0u);
     llc->flush();
-    EXPECT_FALSE(llc->access(0x4000, false, false).hit);
+    EXPECT_EQ(llc->stats().hits, 0u);
+    EXPECT_EQ(llc->stats().misses, 0u);
+    EXPECT_EQ(llc->stats().evictions, 0u);
+    EXPECT_EQ(llc->stats().pairedFills, 0u);
+    EXPECT_EQ(llc->stats().pairedWritebacks, 0u);
+    EXPECT_FALSE(llc->access(0, false, false).hit);
+    llc->flush();
+    EXPECT_EQ(replay(*llc), expected);
+    EXPECT_EQ(llc->stats().hits, fresh->stats().hits);
+    EXPECT_EQ(llc->stats().misses, fresh->stats().misses);
+    EXPECT_EQ(llc->stats().evictions, fresh->stats().evictions);
+    EXPECT_TRUE(llc->checkInvariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, LlcBothDesigns,
